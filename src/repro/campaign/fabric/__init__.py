@@ -2,7 +2,7 @@
 
 A filesystem-backed work queue that coordinates elastic workers over one
 shared campaign directory — no server, no sockets, no new dependencies;
-only atomic POSIX file operations (``O_CREAT|O_EXCL`` creates, temp file +
+only atomic POSIX file operations (exclusive ``os.link`` claims, temp file +
 ``os.replace``, append-only journals). The pieces:
 
 * :mod:`.leases` — time-bounded job claims with heartbeat renewal and

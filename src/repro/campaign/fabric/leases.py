@@ -5,8 +5,10 @@ uses only primitives that are atomic on POSIX filesystems (and safe on
 modern NFS), so it coordinates worker *processes* on one machine today and
 NFS-mounted hosts tomorrow without a server:
 
-* **Acquire** — create the lease file with ``O_CREAT | O_EXCL``: exactly
-  one contender wins; everyone else sees the file exists.
+* **Acquire** — write the lease to a per-token temp file, then
+  ``os.link`` it into place: exactly one contender wins, everyone else
+  sees the file exists, and the file only ever appears complete (a
+  reader can never mistake a half-written claim for an expired one).
 * **Heartbeat / renew** — rewrite the lease via temp file + ``os.replace``
   with a pushed-out expiry. Renewal first re-reads the file and verifies
   the lease *token*: a worker whose lease was stolen (see below) gets
@@ -157,7 +159,7 @@ class LeaseDirectory:
         return f"{worker_id}.{os.getpid()}.{self._acquired_count}.{self.now_fn():.6f}"
 
     def acquire(self, job_id: str, worker_id: str) -> Optional[Lease]:
-        """Try to claim a job: fresh O_EXCL create, or steal if expired.
+        """Try to claim a job: fresh exclusive link, or steal if expired.
 
         Returns the lease on success, ``None`` when another live lease
         holds the job (or a steal race was lost).
@@ -171,13 +173,17 @@ class LeaseDirectory:
             expires=now + self.ttl,
         )
         self.directory.mkdir(parents=True, exist_ok=True)
+        target = self.path(job_id)
+        tmp = target.with_name(f"{target.name}.{lease.token}.tmp")
         try:
-            fd = os.open(self.path(job_id), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            tmp.write_text(json.dumps(lease.as_dict(), sort_keys=True) + "\n")
+            os.link(tmp, target)
+            return lease
         except FileExistsError:
-            return self._steal_if_expired(lease)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(lease.as_dict(), sort_keys=True) + "\n")
-        return lease
+            pass
+        finally:
+            tmp.unlink(missing_ok=True)
+        return self._steal_if_expired(lease)
 
     def _steal_if_expired(self, candidate: Lease) -> Optional[Lease]:
         """Take over an expired lease; ``None`` if it is live or we lost the race."""

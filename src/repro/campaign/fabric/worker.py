@@ -11,7 +11,7 @@ The execution model per :meth:`~FabricWorker.step`:
 1. heartbeat the registration file (so the coordinator knows a worker
    exists — this is what keeps it from degrading to serial execution),
 2. scan the queue in sorted order and try to lease the first claimable
-   job (``O_EXCL`` create / steal-if-expired, see :mod:`.leases`),
+   job (exclusive ``os.link`` / steal-if-expired, see :mod:`.leases`),
 3. execute it through the exact same :func:`~repro.campaign.runner.execute_job`
    the single-host runner uses — artifacts, cache shards and determinism
    guarantees are shared, which is why a fabric campaign's results are

@@ -36,10 +36,12 @@ import json
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.config import PipelineConfig, fast_config
 from ..datasets.registry import resolve_dataset_names
+from ..search.settings import resolve_evaluation_settings
 
 #: Search algorithms a campaign job may request.
 ALGORITHMS: Tuple[str, ...] = ("ga", "random", "grid")
@@ -56,7 +58,6 @@ _GA_PARAMS = frozenset(
         "fault_rate",
         "n_fault_trials",
         "fault_model",
-        "backend",
         "surrogate",
         "surrogate_candidates",
         "surrogate_prefilter",
@@ -259,6 +260,15 @@ class CampaignSpec:
                 f"Search names must be unique within a campaign, got {names} "
                 "(give duplicate algorithms distinct 'name' labels)"
             )
+        # Resolve each search's evaluation knobs the way its jobs will, so a
+        # rejected pair (e.g. fault_rate without fault trials) fails here.
+        pipeline = SimpleNamespace(**dict(self.pipeline))
+        for search in self.searches:
+            params = search.param_dict() if search.algorithm == "ga" else {}
+            try:
+                resolve_evaluation_settings(pipeline, SimpleNamespace(**params))
+            except ValueError as error:
+                raise ValueError(f"Search '{search.name}': {error}") from None
 
     # -- construction ------------------------------------------------------------
 

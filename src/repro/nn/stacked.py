@@ -34,11 +34,10 @@ early-stopping populations.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.backend import ArrayBackend, resolve_backend
 from .layers import ActivationLayer, Dense
 from .network import MLP
 from .optimizers import StackedAdam
@@ -109,6 +108,27 @@ def supports_stacking(models: Sequence[MLP]) -> bool:
     return True
 
 
+def quantize_into(
+    values: np.ndarray,
+    scale: np.ndarray,
+    neg_level: np.ndarray,
+    pos_level: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The fake-quantization pass: divide, rint, clip, renormalize, rescale.
+
+    Writes into ``out`` with the exact float sequence of the serial
+    quantizer, including the ``+ 0.0`` negative-zero normalization.
+    """
+    np.divide(values, scale, out=out)
+    np.rint(out, out=out)
+    np.maximum(out, neg_level, out=out)
+    np.minimum(out, pos_level, out=out)
+    out += 0.0  # normalize IEEE -0.0 like the serial quantizer
+    out *= scale
+    return out
+
+
 class StackedTrainer:
     """Trains G same-architecture MLPs as one stacked tensor program.
 
@@ -119,10 +139,6 @@ class StackedTrainer:
             genome then decays its own copy independently).
         config: training hyper-parameters, shared by the population.
         seeds: per-genome shuffle seeds (``None`` entries mean unseeded).
-        backend: array backend for the stacked tensor ops (name, instance,
-            or ``None`` = resolve via :func:`repro.core.backend.resolve_backend`).
-            The numpy backend reproduces the serial trainer byte for byte;
-            see ``docs/backends.md`` for other backends' guarantees.
 
     Use :func:`supports_stacking` first; construction raises ``ValueError``
     for unstackable populations.
@@ -134,7 +150,6 @@ class StackedTrainer:
         learning_rate: float,
         config: Optional[TrainerConfig] = None,
         seeds: Optional[Sequence[Optional[int]]] = None,
-        backend: Optional[Union[str, ArrayBackend]] = None,
     ) -> None:
         if not supports_stacking(models):
             raise ValueError(
@@ -151,7 +166,6 @@ class StackedTrainer:
         if len(seeds) != len(self.models):
             raise ValueError(f"Got {len(seeds)} seeds for {len(self.models)} models")
         self.seeds = list(seeds)
-        self.ops = resolve_backend(backend)
         self._plan = self._build_plan(self.models[0])
         self._segments = self._build_segments(self.models[0])
         self._flat_size = self._segments[-1]["slice"].stop if self._segments else 0
@@ -271,15 +285,13 @@ class StackedTrainer:
         np.abs(masked, out=abs_buf)
         # One contiguous-span reduce for every (genome, segment) max — max is
         # exact, so how it is reduced cannot change the derived scale.
-        seg_max = self.ops.segment_max(abs_buf, pack["seg_starts"])
+        seg_max = np.maximum.reduceat(abs_buf, pack["seg_starts"], axis=1)
         # derive_scale vectorized: same IEEE divide, same degenerate-tensor
         # fallbacks (all-zero -> 1.0, underflow-to-zero -> 1.0).
         seg_scale = np.where(seg_max > 0, seg_max / pack["max_levels"], 1.0)
         seg_scale = np.where(seg_scale == 0.0, 1.0, seg_scale)
-        self.ops.take(seg_scale, pack["seg_map"], out=scale)
-        self.ops.quantize(
-            masked, scale, pack["neg_level"], pack["pos_level"], out=effective
-        )
+        np.take(seg_scale, pack["seg_map"], axis=1, out=scale)
+        quantize_into(masked, scale, pack["neg_level"], pack["pos_level"], effective)
         for segment in self._segments:
             if not segment["quantized"]:
                 sl = segment["slice"]
@@ -340,7 +352,7 @@ class StackedTrainer:
         params = self._gather_stack()
         pack = self._build_pack()
         grad_flat = np.empty_like(params)
-        optimizer = StackedAdam([self.learning_rate] * n_models, backend=self.ops)
+        optimizer = StackedAdam([self.learning_rate] * n_models)
         rngs = [np.random.default_rng(seed) for seed in self.seeds]
 
         # Per-genome bookkeeping, indexed by ORIGINAL genome position.
@@ -364,12 +376,12 @@ class StackedTrainer:
             )
             # Post-epoch evaluation on the freshly re-quantized parameters.
             train_scores = self._forward(x_train, views)
-            train_predictions = self.ops.argmax(train_scores)
+            train_predictions = np.argmax(train_scores, axis=-1)
             train_accuracies = (train_predictions == y_train).mean(axis=-1)
             if has_val:
                 val_scores = self._forward(x_val, views)
                 val_losses = _softmax_cross_entropy_rows(val_scores, val_targets)
-                val_accuracies = (self.ops.argmax(val_scores) == y_val).mean(axis=-1)
+                val_accuracies = (np.argmax(val_scores, axis=-1) == y_val).mean(axis=-1)
 
             stopped_rows: List[int] = []
             for row, genome in enumerate(active):
@@ -464,7 +476,7 @@ class StackedTrainer:
                 layer_inputs.append(out)
                 if is_dense:
                     view = views[dense_index]
-                    out = self.ops.matmul(out, view["weights"])
+                    out = np.matmul(out, view["weights"])
                     if view["bias"] is not None:
                         out = out + view["bias"][:, None, :]
                 else:
@@ -487,7 +499,7 @@ class StackedTrainer:
                 layer_input = layer_inputs[plan_index]
                 if is_dense:
                     view = views[dense_index]
-                    grad_weights = self.ops.matmul(layer_input.transpose(0, 2, 1), grad)
+                    grad_weights = np.matmul(layer_input.transpose(0, 2, 1), grad)
                     weight_segment, bias_segment = self._dense_segments[dense_index]
                     grad_weights *= pack["mask"][:, weight_segment["slice"]].reshape(
                         grad_weights.shape
@@ -498,7 +510,7 @@ class StackedTrainer:
                     if bias_segment is not None:
                         grad_flat[:, bias_segment["slice"]] = grad.sum(axis=1)
                     if plan_index != 0:
-                        grad = self.ops.matmul(grad, view["weights"].transpose(0, 2, 1))
+                        grad = np.matmul(grad, view["weights"].transpose(0, 2, 1))
                 else:
                     grad = activation.backward(layer_input, grad)
 
@@ -529,7 +541,7 @@ class StackedTrainer:
         for is_dense, dense_index, activation in self._plan:
             if is_dense:
                 view = views[dense_index]
-                out = self.ops.matmul(out, view["weights"])
+                out = np.matmul(out, view["weights"])
                 if view["bias"] is not None:
                     out = out + view["bias"][:, None, :]
             else:
@@ -601,14 +613,12 @@ def finetune_stacked(
     learning_rate: float = 0.003,
     batch_size: int = 32,
     seeds: Optional[Sequence[Optional[int]]] = None,
-    backend: Optional[Union[str, ArrayBackend]] = None,
 ) -> List[TrainingHistory]:
     """Population counterpart of :func:`repro.nn.trainer.finetune`.
 
     Same hyper-parameter derivation (aggressive early stopping, small LR),
     one stacked trainer instead of G serial ones. Genome ``g`` ends with
-    byte-identical weights to ``finetune(models[g], ..., seed=seeds[g])``
-    on the (default) numpy backend.
+    byte-identical weights to ``finetune(models[g], ..., seed=seeds[g])``.
     """
     config = TrainerConfig(
         epochs=epochs,
@@ -616,28 +626,20 @@ def finetune_stacked(
         early_stopping_patience=max(3, epochs // 3),
         verbose=False,
     )
-    trainer = StackedTrainer(
-        models, learning_rate, config=config, seeds=seeds, backend=backend
-    )
+    trainer = StackedTrainer(models, learning_rate, config=config, seeds=seeds)
     return trainer.fit(x_train, y_train, x_val, y_val)
 
 
-def predict_stacked(
-    models: Sequence[MLP],
-    features: np.ndarray,
-    backend: Optional[Union[str, ArrayBackend]] = None,
-) -> np.ndarray:
+def predict_stacked(models: Sequence[MLP], features: np.ndarray) -> np.ndarray:
     """Batched class predictions for a population of same-topology models.
 
     Stacks each model's *effective* (masked + quantized) parameters — built
     per model with the exact serial ``effective_weights()`` path — and runs
     one batched forward pass; returns ``(G, n_samples)`` predicted classes,
-    byte-identical to calling ``model.predict`` per model on the (default)
-    numpy backend.
+    byte-identical to calling ``model.predict`` per model.
     """
     if not models:
         raise ValueError("Cannot predict with an empty population")
-    ops = resolve_backend(backend)
     features = np.asarray(features, dtype=np.float64)
     out = features
     n_layers = len(models[0].layers)
@@ -647,7 +649,7 @@ def predict_stacked(
             weights = np.stack(
                 [model.layers[index].effective_weights() for model in models]
             )
-            out = ops.matmul(out, weights)
+            out = np.matmul(out, weights)
             if layer.use_bias:
                 bias = np.stack(
                     [model.layers[index].effective_bias() for model in models]
@@ -657,4 +659,4 @@ def predict_stacked(
             out = layer.activation.forward(out)
         else:
             raise ValueError(f"Unsupported layer for stacked inference: {layer!r}")
-    return ops.argmax(out)
+    return np.argmax(out, axis=-1)

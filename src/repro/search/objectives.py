@@ -16,7 +16,6 @@ scale.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,27 +36,13 @@ from ..reliability.monte_carlo import (
     monte_carlo_population,
 )
 from .genome import Genome
-from .settings import EvaluationSettings as _EvaluationSettings
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``EvaluationSettings`` moved to ``repro.search.settings``."""
-    if name == "EvaluationSettings":
-        warnings.warn(
-            "Importing EvaluationSettings from repro.search.objectives is "
-            "deprecated; import it from repro.search (or "
-            "repro.search.settings) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _EvaluationSettings
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .settings import EvaluationSettings
 
 
 def _apply_minimizations(
     genome: Genome,
     prepared: PreparedPipeline,
-    settings: _EvaluationSettings,
+    settings: EvaluationSettings,
     seed: Optional[int],
 ):
     """Prune, cluster and attach quantizers on a fresh baseline clone.
@@ -98,14 +83,14 @@ def _apply_minimizations(
 def apply_genome(
     genome: Genome,
     prepared: PreparedPipeline,
-    settings: Optional[_EvaluationSettings] = None,
+    settings: Optional[EvaluationSettings] = None,
     seed: Optional[int] = None,
 ):
     """Apply a genome's minimizations to a clone of the prepared baseline.
 
     Returns the minimized model (the prepared baseline itself is untouched).
     """
-    settings = settings if settings is not None else _EvaluationSettings()
+    settings = settings if settings is not None else EvaluationSettings()
     model, clustering_result = _apply_minimizations(genome, prepared, settings, seed)
     _finetune_model(prepared, settings, model, clustering_result, seed)
     return model
@@ -114,7 +99,7 @@ def apply_genome(
 def evaluate_genome(
     genome: Genome,
     prepared: PreparedPipeline,
-    settings: Optional[_EvaluationSettings] = None,
+    settings: Optional[EvaluationSettings] = None,
     seed: Optional[int] = None,
 ) -> DesignPoint:
     """Full evaluation of one genome: minimized accuracy and synthesized area.
@@ -125,7 +110,7 @@ def evaluate_genome(
     the full netlist's. Ask :func:`~repro.bespoke.build_bespoke_circuit` for
     the netlist when a winning genome needs inspection or Verilog export.
     """
-    settings = settings if settings is not None else _EvaluationSettings()
+    settings = settings if settings is not None else EvaluationSettings()
     with profiling.stage("evaluate_genome"):
         model = apply_genome(genome, prepared, settings, seed=seed)
         point = _score_model(genome, prepared, settings, model, seed=seed)
@@ -134,7 +119,7 @@ def evaluate_genome(
 
 def _finetune_model(
     prepared: PreparedPipeline,
-    settings: _EvaluationSettings,
+    settings: EvaluationSettings,
     model,
     clustering_result,
     seed: Optional[int],
@@ -160,7 +145,7 @@ def _finetune_model(
 def _score_model(
     genome: Genome,
     prepared: PreparedPipeline,
-    settings: _EvaluationSettings,
+    settings: EvaluationSettings,
     model,
     seed: Optional[int] = None,
 ) -> DesignPoint:
@@ -185,7 +170,6 @@ def _score_model(
                 data.test.features,
                 data.test.labels,
                 settings.fault_config(seed),
-                backend=settings.backend,
             )
         robust_accuracy = fault_result.mean_accuracy
         accuracy_std = fault_result.accuracy_std
@@ -240,7 +224,7 @@ def _synthesize_point(
 def evaluate_genomes_stacked(
     genomes: Sequence[Genome],
     prepared: PreparedPipeline,
-    settings: Optional[_EvaluationSettings] = None,
+    settings: Optional[EvaluationSettings] = None,
     seeds: Optional[Sequence[Optional[int]]] = None,
 ) -> List[DesignPoint]:
     """Evaluate a whole population as one stacked tensor program.
@@ -267,7 +251,7 @@ def evaluate_genomes_stacked(
     epochs, non-symmetric quantizers) silently fall back to the serial
     per-genome loop.
     """
-    settings = settings if settings is not None else _EvaluationSettings()
+    settings = settings if settings is not None else EvaluationSettings()
     genomes = list(genomes)
     if seeds is None:
         seeds = [None] * len(genomes)
@@ -318,7 +302,6 @@ def evaluate_genomes_stacked(
                 epochs=settings.finetune_epochs,
                 learning_rate=settings.finetune_learning_rate,
                 seeds=seeds,
-                backend=settings.backend,
             )
         for model, clustering_result in zip(models, clusterings):
             if clustering_result is not None:
@@ -335,13 +318,9 @@ def evaluate_genomes_stacked(
             ]
         with profiling.stage("accuracy"):
             if settings.simulate_accuracy:
-                accuracies = population_accuracy(
-                    simulators, test.features, labels, backend=settings.backend
-                )
+                accuracies = population_accuracy(simulators, test.features, labels)
             else:
-                predictions = predict_stacked(
-                    models, test.features, backend=settings.backend
-                )
+                predictions = predict_stacked(models, test.features)
                 accuracies = (predictions == labels).mean(axis=-1)
         robust_accuracies: List[Optional[float]] = [None] * len(genomes)
         accuracy_stds: List[Optional[float]] = [None] * len(genomes)
@@ -352,7 +331,6 @@ def evaluate_genomes_stacked(
                     test.features,
                     labels,
                     [settings.fault_config(seed) for seed in seeds],
-                    backend=settings.backend,
                 )
             robust_accuracies = [result.mean_accuracy for result in fault_results]
             accuracy_stds = [result.accuracy_std for result in fault_results]

@@ -5,9 +5,8 @@ Evaluation knobs historically arrived through three doors — direct
 :class:`~repro.search.ga.GAConfig` fields, and campaign-spec entries — each
 with its own resolution code. This module is now the one place those paths
 meet: :func:`resolve_evaluation_settings` implements the inheritance rules
-(GA knob → pipeline knob → default, with the array backend additionally
-falling back to the ``REPRO_BACKEND`` environment variable), and every
-caller — :class:`~repro.search.ga.HardwareAwareGA`, the campaign runner,
+(GA knob → pipeline knob → default), and every caller —
+:class:`~repro.search.ga.HardwareAwareGA`, the campaign runner and spec,
 the CLI — goes through it, so the knobs can never resolve differently
 between subsystems.
 """
@@ -17,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.backend import default_backend_name, validate_backend_name
 from ..reliability.fault_injection import FAULT_MODELS, FaultInjectionConfig
 
 
@@ -43,15 +41,11 @@ class EvaluationSettings:
             are part of the campaign cache's evaluation-context key, so
             robust and non-robust evaluations can never collide in a shared
             persistent cache.
-        n_fault_trials: Monte-Carlo trials per design point (0 = off).
+        n_fault_trials: Monte-Carlo trials per design point (0 = off). A
+            positive ``fault_rate`` with 0 trials is rejected: it would
+            silently run without robustness.
         fault_model: defect mechanism injected (one of
             :data:`repro.reliability.FAULT_MODELS`).
-        backend: array backend for the stacked/batched evaluation paths
-            (``None`` = resolve via ``REPRO_BACKEND`` then numpy at kernel
-            entry; :func:`resolve_evaluation_settings` materializes the
-            concrete name so cache context keys capture it). The numpy
-            backend carries every bit-identity guarantee; see
-            ``docs/backends.md``.
     """
 
     finetune_epochs: int = 8
@@ -61,18 +55,21 @@ class EvaluationSettings:
     fault_rate: float = 0.0
     n_fault_trials: int = 0
     fault_model: str = "open"
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError(f"fault_rate must be in [0, 1], got {self.fault_rate}")
         if self.n_fault_trials < 0:
             raise ValueError(f"n_fault_trials must be >= 0, got {self.n_fault_trials}")
+        if self.fault_rate > 0.0 and self.n_fault_trials == 0:
+            raise ValueError(
+                f"fault_rate={self.fault_rate} needs n_fault_trials > 0; with 0 "
+                "trials robustness would be silently off"
+            )
         if self.fault_model not in FAULT_MODELS:
             raise ValueError(
                 f"fault_model must be one of {FAULT_MODELS}, got '{self.fault_model}'"
             )
-        validate_backend_name(self.backend, "EvaluationSettings.backend")
 
     @property
     def robustness_enabled(self) -> bool:
@@ -101,18 +98,14 @@ def resolve_evaluation_settings(
     """Resolve every evaluation knob through the one documented precedence.
 
     Each knob takes the first non-``None`` value of: the GA config field,
-    the pipeline config field, the :class:`EvaluationSettings` default. The
-    ``backend`` knob has one extra rung — when both configs leave it
-    ``None`` it materializes to :func:`~repro.core.backend.default_backend_name`
-    (the ``REPRO_BACKEND`` environment variable, then ``"numpy"``) so the
-    resolved settings name a concrete backend and the campaign cache's
-    evaluation-context key can never conflate runs under different
-    ``REPRO_BACKEND`` environments.
+    the pipeline config field, the :class:`EvaluationSettings` default.
 
     Either config may be ``None``: ``resolve_evaluation_settings()`` yields
-    the environment-resolved defaults, ``resolve_evaluation_settings(config)``
-    is the non-GA campaign path, and passing both is the GA path (the same
-    inheritance the ``stacked``/``cache_size``/``n_workers`` knobs use).
+    the defaults, ``resolve_evaluation_settings(config)`` is the non-GA
+    campaign path, and passing both is the GA path (the same inheritance
+    the ``stacked``/``cache_size``/``n_workers`` knobs use). The resolved
+    pair is validated by :class:`EvaluationSettings`, so a ``fault_rate``
+    from one config can never meet 0 trials from the other unnoticed.
     """
 
     def _knob(name, default):
@@ -129,7 +122,6 @@ def resolve_evaluation_settings(
         fault_rate=_knob("fault_rate", 0.0),
         n_fault_trials=_knob("n_fault_trials", 0),
         fault_model=_knob("fault_model", "open"),
-        backend=_knob("backend", default_backend_name()),
     )
 
 

@@ -66,6 +66,11 @@ from .store import FrontStore, UnknownDatasetError, is_safe_dataset_name
 #: refused (413) before a single body byte is read.
 MAX_BODY_BYTES = 1 << 20
 
+#: How often ``serve_forever`` checks for a shutdown request, in seconds.
+#: ``shutdown()`` blocks until the next check, so the stdlib's 0.5 s default
+#: would make every stop take up to half a second.
+POLL_INTERVAL_S = 0.02
+
 #: Latency histogram bucket upper bounds, in seconds (log-spaced,
 #: 0.1 ms .. 10 s; the final implicit bucket is +inf).
 LATENCY_BUCKETS: Tuple[float, ...] = (
@@ -594,7 +599,9 @@ def start_server(
     point — the CLI's ``repro serve`` wraps it in a foreground loop.
     """
     server = FrontServer((host, port), store, enqueuer=enqueuer)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": POLL_INTERVAL_S}, daemon=True
+    )
     thread.start()
     return server, thread
 
@@ -604,7 +611,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8000,
     max_entries: Optional[int] = None,
-    backend: Optional[str] = None,
     enqueue_misses: bool = False,
     refresh_seconds: Optional[float] = None,
     refresh_reports: bool = False,
@@ -619,7 +625,7 @@ def serve(
     serving half of the miss loop: a worker drains the enqueued job, the
     next refresh folds its front into the report, and the store serves it.
     """
-    store = FrontStore(campaigns, max_entries=max_entries, backend=backend)
+    store = FrontStore(campaigns, max_entries=max_entries)
     enqueuer = MissEnqueuer(campaigns[0]) if enqueue_misses else None
     server, _thread = start_server(store, host=host, port=port, enqueuer=enqueuer)
     print(f"serving {len(store.datasets())} dataset front(s) on {server.url}")

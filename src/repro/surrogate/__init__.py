@@ -3,10 +3,9 @@
 Real stacked-QAT evaluations dominate the search's wall-clock; this package
 trades them for microsecond predictions. A
 :class:`~repro.surrogate.features.GenomeFeaturizer` encodes genomes as
-plain feature vectors, the :class:`~repro.surrogate.models.SurrogateModel`
-implementations (closed-form ridge by default, a stacked tiny-MLP ensemble
-through the backend seam) regress evaluation outcomes with per-objective
-ensemble uncertainty, :func:`~repro.surrogate.training.fit_from_cache`
+plain feature vectors, :class:`~repro.surrogate.models.RidgeSurrogate` (a
+bagged closed-form ridge ensemble) regresses evaluation outcomes with
+per-objective ensemble uncertainty, :func:`~repro.surrogate.training.fit_from_cache`
 trains directly from campaign journal shards, and
 :class:`~repro.surrogate.assist.SurrogateAssistant` wires online refits and
 uncertainty-optimistic offspring prefiltering into
@@ -20,7 +19,6 @@ from .assist import SurrogateAssistant, surrogate_seed
 from .features import GenomeFeaturizer
 from .models import (
     SURROGATE_MODELS,
-    MLPSurrogate,
     RidgeSurrogate,
     SurrogateModel,
     create_surrogate,
@@ -29,7 +27,6 @@ from .training import TrainedSurrogate, fit_from_cache, training_matrices
 
 __all__ = [
     "GenomeFeaturizer",
-    "MLPSurrogate",
     "RidgeSurrogate",
     "SURROGATE_MODELS",
     "SurrogateAssistant",

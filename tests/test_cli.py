@@ -136,6 +136,20 @@ class TestCommands:
         with pytest.raises(SystemExit):
             parser.parse_args(["figure2", "--fault-model", "bridging"])
 
+    @pytest.mark.parametrize("trials", [[], ["--fault-trials", "0"]])
+    def test_fault_rate_without_trials_is_a_usage_error(self, capsys, trials):
+        # Before any data is prepared: exit 2 with argparse's usage message.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure2", "--dataset", "seeds", "--fast", "--fault-rate", "0.05", *trials])
+        assert excinfo.value.code == 2
+        assert "--fault-rate needs --fault-trials" in capsys.readouterr().err
+
+    def test_backend_flag_is_gone(self, capsys):
+        for command in (["figure2"], ["serve", "--campaign", "x"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*command, "--backend", "numpy"])
+            assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
     def test_synth_command_with_verilog(self, capsys, tmp_path):
         verilog_path = tmp_path / "seeds.v"
         exit_code = main(

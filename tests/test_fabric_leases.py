@@ -8,11 +8,17 @@ transition; the hypothesis property sweeps the interleaving space.
 
 from __future__ import annotations
 
+import json
+import sys
+import threading
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from strategies import lease_event_sequences
 
 from repro.campaign.fabric import LeaseDirectory, LeaseLost, ManualClock
+from repro.campaign.fabric import leases as leases_module
 
 
 TTL = 10.0
@@ -86,6 +92,69 @@ class TestLeaseProtocol:
         leases.remove("job-a")
         leases.remove("job-a")
         assert leases.read("job-a") is None
+
+    def test_claim_is_never_visible_half_written(self, tmp_path, clock, monkeypatch):
+        """A second worker acquiring mid-claim must not steal the lease.
+
+        ``json.dumps`` runs while the first worker builds its lease file; the
+        second worker's ``acquire`` is injected right there, so it sees the
+        directory exactly as it is in the middle of the first claim.
+        """
+        first = LeaseDirectory(tmp_path / "leases", ttl=TTL, now_fn=clock)
+        second = LeaseDirectory(tmp_path / "leases", ttl=TTL, now_fn=clock)
+        outcomes = {}
+
+        def dumps_then_race(*args, **kwargs):
+            if "w2" not in outcomes:
+                outcomes["w2"] = None  # the nested acquire must not recurse
+                outcomes["w2"] = second.acquire("job-a", "w2")
+            return json.dumps(*args, **kwargs)
+
+        fake_json = SimpleNamespace(
+            dumps=dumps_then_race, loads=json.loads, JSONDecodeError=json.JSONDecodeError
+        )
+        monkeypatch.setattr(leases_module, "json", fake_json)
+        outcomes["w1"] = first.acquire("job-a", "w1")
+        monkeypatch.undo()
+
+        holders = [worker for worker, lease in outcomes.items() if lease is not None]
+        assert len(holders) == 1, outcomes
+        (holder,) = holders
+        assert first.read("job-a").token == outcomes[holder].token
+        assert sorted(p.name for p in (tmp_path / "leases").iterdir()) == ["job-a.json"]
+
+    def test_concurrent_claims_have_one_winner(self, tmp_path, clock):
+        """Threads race to claim the same jobs; every job gets exactly one holder."""
+        n_workers, job_ids = 8, [f"job-{index}" for index in range(40)]
+        wins = {job_id: [] for job_id in job_ids}
+        lock = threading.Lock()
+        start = threading.Barrier(n_workers)
+
+        def worker(name):
+            directory = LeaseDirectory(tmp_path / "leases", ttl=TTL, now_fn=clock)
+            start.wait(timeout=10)
+            for job_id in job_ids:
+                if directory.acquire(job_id, name) is not None:
+                    with lock:
+                        wins[job_id].append(name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(f"w{index}",))
+                for index in range(n_workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert {job_id: len(names) for job_id, names in wins.items()} == dict.fromkeys(
+            job_ids, 1
+        )
 
     def test_ttl_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):

@@ -400,7 +400,8 @@ class TestSettingsValidation:
 
     def test_robustness_enabled_needs_both_knobs(self):
         assert not EvaluationSettings().robustness_enabled
-        assert not EvaluationSettings(fault_rate=0.1).robustness_enabled
+        with pytest.raises(ValueError, match="n_fault_trials"):
+            EvaluationSettings(fault_rate=0.1)  # would be silently off
         assert not EvaluationSettings(n_fault_trials=5).robustness_enabled
         assert EvaluationSettings(fault_rate=0.1, n_fault_trials=5).robustness_enabled
 

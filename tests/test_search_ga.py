@@ -232,12 +232,18 @@ class TestRobustnessAwareGA:
         assert inherited.robustness_enabled
         # Explicit GA knobs beat the pipeline's.
         overridden = evaluation_settings_for(
-            GAConfig(finetune_epochs=2, fault_rate=0.05, n_fault_trials=0),
+            GAConfig(finetune_epochs=2, fault_rate=0.0, n_fault_trials=0),
             pipeline_config,
         )
-        assert overridden.fault_rate == 0.05
+        assert overridden.fault_rate == 0.0
         assert overridden.n_fault_trials == 0
         assert not overridden.robustness_enabled
+        # A GA rate whose trials resolve to 0 is rejected, not silently off.
+        with pytest.raises(ValueError, match="n_fault_trials"):
+            evaluation_settings_for(
+                GAConfig(finetune_epochs=2, fault_rate=0.05, n_fault_trials=0),
+                pipeline_config,
+            )
 
     @pytest.mark.parametrize(
         "kwargs", [{"fault_rate": 1.5}, {"fault_rate": -0.1}, {"n_fault_trials": -1}]

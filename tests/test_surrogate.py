@@ -1,8 +1,8 @@
 """The surrogate subsystem: featurizer, models, journal training, assistant.
 
 The ISSUE-8 property layer: the featurizer is total and deterministic over
-the full genome space, both surrogate models are seeded pure functions of
-their training data, ``fit_from_cache`` round-trips records written by a
+the full genome space, the surrogate model is a seeded pure function of
+its training data, ``fit_from_cache`` round-trips records written by a
 real :class:`~repro.campaign.cache.PersistentEvaluationCache` (torn tails,
 rotated generations and unversioned legacy records included), and the
 assistant's prefilter can never evict an already-evaluated genome.
@@ -27,7 +27,6 @@ from repro.search.genome import Genome, GenomeSpace
 from repro.surrogate import (
     SURROGATE_MODELS,
     GenomeFeaturizer,
-    MLPSurrogate,
     RidgeSurrogate,
     SurrogateAssistant,
     SurrogateModel,
@@ -137,20 +136,17 @@ class TestSurrogateModels:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             RidgeSurrogate().predict(np.zeros((1, 3)))
-        with pytest.raises(RuntimeError, match="not fitted"):
-            MLPSurrogate().predict(np.zeros((1, 3)))
 
-    def test_unknown_model_name_raises(self):
-        with pytest.raises(ValueError, match="unknown surrogate"):
-            create_surrogate("forest")
+    @pytest.mark.parametrize("name", ["forest", "mlp"])
+    def test_unknown_model_name_raises(self, name):
+        with pytest.raises(ValueError, match=f"unknown surrogate model '{name}'"):
+            create_surrogate(name)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             RidgeSurrogate(n_members=1)
         with pytest.raises(ValueError):
             RidgeSurrogate(degree=3)
-        with pytest.raises(ValueError):
-            MLPSurrogate(epochs=0)
 
     def test_zero_samples_raise(self):
         with pytest.raises(ValueError, match="zero samples"):
@@ -220,7 +216,7 @@ class TestFitFromCache:
             fit_from_cache(tmp_path)
 
     @pytest.mark.parametrize("name", SURROGATE_MODELS)
-    def test_both_models_train_from_cache(self, tmp_path, name):
+    def test_models_train_from_cache(self, tmp_path, name):
         written = self._fill_cache(tmp_path, n=20)
         trained = fit_from_cache(tmp_path, model=name, seed=5)
         assert trained.n_records == 20
