@@ -8,8 +8,9 @@ measures what that wrapper costs and what the cache buys:
   run through :class:`repro.campaign.CampaignRunner` versus the same two
   searches driven directly; the delta is journal/cache/artifact time.
 * **Cached resume** — re-running the same campaign into a fresh directory
-  that shares the warm cache shards: every evaluation is served from disk,
-  so the speedup shows the per-genome record replay rate.
+  that shares the warm cache shards: every evaluation is served from disk
+  and every job loads its stored baseline instead of training it, so the
+  speedup shows the per-genome record replay rate.
 
 Numbers land in the ``campaign`` section of ``BENCH_evaluation.json`` and
 the ``BENCH_history.json`` trajectory.
@@ -17,6 +18,7 @@ the ``BENCH_history.json`` trajectory.
 
 from __future__ import annotations
 
+import json
 import shutil
 import time
 
@@ -91,6 +93,9 @@ def test_campaign_overhead_and_cached_resume(spec, tmp_path):
     shutil.copytree(tmp_path / "cold" / "cache", warm_dir / "cache")
     warm_s, warm_summary = _run_campaign(spec, warm_dir)
     assert sum(o.n_evaluations for o in warm_summary.outcomes) == 0  # all cached
+    for outcome in warm_summary.outcomes:
+        result = json.loads((warm_dir / "jobs" / outcome.job_id / "result.json").read_text())
+        assert result["baseline"] == "loaded", f"{outcome.job_id} retrained its baseline"
 
     overhead_s = cold_s - bare_s
     payload = {

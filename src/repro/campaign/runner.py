@@ -99,7 +99,10 @@ def execute_job(
     journal = CampaignJournal(directory)
     start = time.perf_counter()
     config = job.pipeline_config()
-    prepared = MinimizationPipeline(config).prepare()
+    # The trained baseline is cached beside the evaluation shards.
+    prepared = MinimizationPipeline(config).prepare(
+        journal.cache_dir() if use_cache else None
+    )
     params = job.search_params()
 
     ga_config: Optional[GAConfig] = None
@@ -192,6 +195,7 @@ def execute_job(
         "n_evaluations": n_evaluations,
         "front_size": len(front),
         "cache": cache_stats,
+        "baseline": prepared.baseline_source,
         "generations": generations,
     }
     journal.write_job_artifacts(job.job_id, front_document, result_document)

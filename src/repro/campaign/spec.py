@@ -41,7 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.config import PipelineConfig, fast_config
 from ..datasets.registry import resolve_dataset_names
-from ..search.settings import resolve_evaluation_settings
+from ..search.settings import resolve_evaluation_settings, resolve_surrogate_settings
 
 #: Search algorithms a campaign job may request.
 ALGORITHMS: Tuple[str, ...] = ("ga", "random", "grid")
@@ -260,13 +260,16 @@ class CampaignSpec:
                 f"Search names must be unique within a campaign, got {names} "
                 "(give duplicate algorithms distinct 'name' labels)"
             )
-        # Resolve each search's evaluation knobs the way its jobs will, so a
-        # rejected pair (e.g. fault_rate without fault trials) fails here.
+        # Resolve each search's evaluation and surrogate knobs the way its
+        # jobs will, so a rejected combination (e.g. fault_rate without
+        # fault trials, or halving_budgets without a surrogate) fails here.
         pipeline = SimpleNamespace(**dict(self.pipeline))
         for search in self.searches:
-            params = search.param_dict() if search.algorithm == "ga" else {}
+            ga_params = search.param_dict() if search.algorithm == "ga" else {}
+            params = SimpleNamespace(**ga_params)
             try:
-                resolve_evaluation_settings(pipeline, SimpleNamespace(**params))
+                resolve_evaluation_settings(pipeline, params)
+                resolve_surrogate_settings(pipeline, params)
             except ValueError as error:
                 raise ValueError(f"Search '{search.name}': {error}") from None
 

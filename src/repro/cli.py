@@ -698,9 +698,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "figure2" and args.fault_rate and not args.fault_trials:
-        parser.error("--fault-rate needs --fault-trials N with N > 0; "
-                     "without trials the search would run with robustness off")
+    if args.command == "figure2":
+        if args.fault_rate and not args.fault_trials:
+            parser.error("--fault-rate needs --fault-trials N with N > 0; "
+                         "without trials the search would run with robustness off")
+        if args.fault_model not in (None, "open") and not args.fault_rate:
+            parser.error("--fault-model needs --fault-rate R with R > 0; "
+                         "without a rate no fault is ever injected")
+        stray = [flag for flag, value in (
+            ("--surrogate-candidates", args.surrogate_candidates),
+            ("--surrogate-prefilter", args.surrogate_prefilter),
+            ("--halving-budgets", args.halving_budgets),
+        ) if value is not None]
+        if stray and args.surrogate is None:
+            parser.error(f"{', '.join(stray)} needs --surrogate; without a "
+                         "surrogate model the search would ignore it")
     if getattr(args, "profile", False):
         profiling.reset()
         profiling.enable(True)

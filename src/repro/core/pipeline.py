@@ -9,8 +9,15 @@ bespoke baseline → run the standalone minimization sweeps. The combined
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+import hashlib
+import json
+import os
+import zipfile
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from ..bespoke.circuit import BespokeConfig
 from ..bespoke.synthesis import synthesize
@@ -32,6 +39,71 @@ from .results import DesignPoint, SweepResult
 #: The standalone techniques evaluated in Figure 1.
 STANDALONE_TECHNIQUES = ("quantization", "pruning", "clustering")
 
+#: Layout version of the stored baseline weights (``baseline-<key>.npz``).
+#: Part of the file's key and stamped inside it, so a build that changes
+#: the layout or the training never loads an older build's file.
+BASELINE_FORMAT_VERSION = 1
+
+
+def baseline_key(config: PipelineConfig) -> str:
+    """Hash of everything the trained float baseline depends on.
+
+    Hashes the whole :class:`~repro.core.config.PipelineConfig` plus
+    :data:`BASELINE_FORMAT_VERSION` the way the campaign cache hashes an
+    evaluation context, so any config change misses the store.
+    """
+    payload = {"pipeline": asdict(config), "format": BASELINE_FORMAT_VERSION}
+    canonical = json.dumps(payload, sort_keys=True, default=list)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def _load_baseline(path: Path, model: MLP) -> bool:
+    """Load stored baseline weights into ``model``; False if unusable.
+
+    A missing, truncated or foreign file, a missing array, a shape mismatch
+    or another format version all return False and leave ``model`` as built.
+    """
+    try:
+        # An open handle of our own: np.load leaks the file it opened when
+        # the archive is truncated.
+        with open(path, "rb") as handle, np.load(handle) as stored:
+            if int(stored["version"]) != BASELINE_FORMAT_VERSION:
+                return False
+            weights = [
+                {"weights": stored[f"weights_{i}"], "bias": stored[f"bias_{i}"]}
+                for i in range(len(model.dense_layers))
+            ]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return False
+    for layer, entry in zip(model.dense_layers, weights):
+        if (
+            entry["weights"].shape != layer.weights.shape
+            or entry["bias"].shape != layer.bias.shape
+        ):
+            return False
+    model.set_weights(weights)
+    return True
+
+
+def _store_baseline(path: Path, model: MLP) -> None:
+    """Write ``model``'s weights to ``path`` atomically.
+
+    Each process writes its own temporary file and renames it into place,
+    so concurrent writers of one key leave one complete file.
+    """
+    arrays: Dict[str, np.ndarray] = {"version": np.array(BASELINE_FORMAT_VERSION)}
+    for i, entry in enumerate(model.get_weights()):
+        arrays[f"weights_{i}"] = entry["weights"]
+        arrays[f"bias_{i}"] = entry["bias"]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            np.savez(handle, **arrays)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
 
 @dataclass
 class PreparedPipeline:
@@ -44,6 +116,8 @@ class PreparedPipeline:
     technology: TechnologyLibrary
     baseline_accuracy: float
     metadata: Dict[str, object] = field(default_factory=dict)
+    #: ``"trained"`` or ``"loaded"`` (from the baseline store).
+    baseline_source: str = "trained"
 
 
 class MinimizationPipeline:
@@ -65,8 +139,14 @@ class MinimizationPipeline:
 
     # -- preparation -------------------------------------------------------------
 
-    def prepare(self) -> PreparedPipeline:
-        """Load data, train the float baseline and synthesize the baseline circuit."""
+    def prepare(self, cache_dir: Union[str, Path, None] = None) -> PreparedPipeline:
+        """Load data, train the float baseline and synthesize the baseline circuit.
+
+        With ``cache_dir`` the trained weights are stored there as
+        ``baseline-<key>.npz`` (see :func:`baseline_key`) and later calls
+        with the same config load them instead of training. Any file that
+        does not load cleanly is retrained and overwritten.
+        """
         if self._prepared is not None:
             return self._prepared
         config = self.config
@@ -88,19 +168,28 @@ class MinimizationPipeline:
             dataset.n_classes,
             seed=config.seed,
         )
-        epochs = config.train_epochs if config.train_epochs is not None else spec.epochs
-        with profiling.stage("train_baseline"):
-            train_classifier(
-                model,
-                data.train.features,
-                data.train.labels,
-                data.validation.features,
-                data.validation.labels,
-                epochs=epochs,
-                batch_size=spec.batch_size,
-                learning_rate=spec.learning_rate,
-                seed=config.seed,
-            )
+        store = None
+        if cache_dir is not None:
+            store = Path(cache_dir) / f"baseline-{baseline_key(config)}.npz"
+        if store is not None and _load_baseline(store, model):
+            baseline_source = "loaded"
+        else:
+            baseline_source = "trained"
+            epochs = config.train_epochs if config.train_epochs is not None else spec.epochs
+            with profiling.stage("train_baseline"):
+                train_classifier(
+                    model,
+                    data.train.features,
+                    data.train.labels,
+                    data.validation.features,
+                    data.validation.labels,
+                    epochs=epochs,
+                    batch_size=spec.batch_size,
+                    learning_rate=spec.learning_rate,
+                    seed=config.seed,
+                )
+            if store is not None:
+                _store_baseline(store, model)
         baseline_accuracy = model.evaluate_accuracy(data.test.features, data.test.labels)
 
         with profiling.stage("synthesize_baseline"):
@@ -138,6 +227,7 @@ class MinimizationPipeline:
                 "n_train": data.train.n_samples,
                 "n_test": data.test.n_samples,
             },
+            baseline_source=baseline_source,
         )
         return self._prepared
 

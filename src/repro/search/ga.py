@@ -30,7 +30,11 @@ from .genome import (
 from .nsga2 import nsga2_rank, select_survivors, tournament_select
 from .objectives import objectives_of
 from .parallel import create_evaluator
-from .settings import EvaluationSettings, resolve_evaluation_settings
+from .settings import (
+    EvaluationSettings,
+    resolve_evaluation_settings,
+    resolve_surrogate_settings,
+)
 
 # Imported as a module path (not via the repro.surrogate package) at call
 # sites below; only the registry of valid names is needed eagerly.
@@ -228,6 +232,16 @@ class HardwareAwareGA:
             if settings is not None
             else resolve_evaluation_settings(prepared.config, ga_config=self.config)
         )
+        # Surrogate knobs inherit GA config → pipeline config → default,
+        # exactly like the fault knobs above, and are validated before any
+        # evaluator is built. The assistant and the halving evaluators only
+        # exist when the feature is on, so disabled searches execute the
+        # literal pre-surrogate code path.
+        surrogate = resolve_surrogate_settings(prepared.config, ga_config=self.config)
+        self.surrogate_model: Optional[str] = surrogate.surrogate
+        self.surrogate_candidates = surrogate.surrogate_candidates
+        self.surrogate_prefilter = surrogate.surrogate_prefilter
+        self.halving_budgets = surrogate.halving_budgets
         # Robustness-aware searches rank, select and archive on a third
         # objective (fault-injected accuracy loss); disabled searches run
         # the exact 2-objective code path of earlier versions.
@@ -254,22 +268,6 @@ class HardwareAwareGA:
         )
         self._rng = np.random.default_rng(self.config.seed)
 
-        # Surrogate knobs inherit GA config → pipeline config → default,
-        # exactly like the fault knobs above. The assistant and the
-        # halving evaluators only exist when the feature is on, so disabled
-        # searches execute the literal pre-surrogate code path.
-        def _surrogate_knob(name, default):
-            value = getattr(self.config, name, None)
-            if value is None:
-                value = getattr(prepared.config, name, None)
-            return default if value is None else value
-
-        self.surrogate_model: Optional[str] = _surrogate_knob("surrogate", None)
-        self.surrogate_candidates = int(_surrogate_knob("surrogate_candidates", 4))
-        self.surrogate_prefilter = float(_surrogate_knob("surrogate_prefilter", 0.25))
-        self.halving_budgets = tuple(
-            int(b) for b in (_surrogate_knob("halving_budgets", ()) or ())
-        )
         self._rung_evaluators: Dict[int, object] = {}
         if self.surrogate_model is not None:
             from ..surrogate.assist import SurrogateAssistant

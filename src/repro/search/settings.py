@@ -5,7 +5,8 @@ Evaluation knobs historically arrived through three doors — direct
 :class:`~repro.search.ga.GAConfig` fields, and campaign-spec entries — each
 with its own resolution code. This module is now the one place those paths
 meet: :func:`resolve_evaluation_settings` implements the inheritance rules
-(GA knob → pipeline knob → default), and every caller —
+(GA knob → pipeline knob → default), :func:`resolve_surrogate_settings`
+applies the same rules to the surrogate knobs, and every caller —
 :class:`~repro.search.ga.HardwareAwareGA`, the campaign runner and spec,
 the CLI — goes through it, so the knobs can never resolve differently
 between subsystems.
@@ -13,8 +14,8 @@ between subsystems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Optional, Tuple
 
 from ..reliability.fault_injection import FAULT_MODELS, FaultInjectionConfig
 
@@ -45,7 +46,9 @@ class EvaluationSettings:
             positive ``fault_rate`` with 0 trials is rejected: it would
             silently run without robustness.
         fault_model: defect mechanism injected (one of
-            :data:`repro.reliability.FAULT_MODELS`).
+            :data:`repro.reliability.FAULT_MODELS`). A model other than
+            ``"open"`` without a positive ``fault_rate`` is rejected: no
+            fault would ever be injected.
     """
 
     finetune_epochs: int = 8
@@ -70,6 +73,11 @@ class EvaluationSettings:
             raise ValueError(
                 f"fault_model must be one of {FAULT_MODELS}, got '{self.fault_model}'"
             )
+        if self.fault_model != "open" and self.fault_rate == 0.0:
+            raise ValueError(
+                f"fault_model='{self.fault_model}' needs fault_rate > 0; with a "
+                "zero rate no fault is ever injected"
+            )
 
     @property
     def robustness_enabled(self) -> bool:
@@ -92,6 +100,47 @@ class EvaluationSettings:
         )
 
 
+@dataclass(frozen=True)
+class SurrogateSettings:
+    """Knobs of surrogate-assisted search (see :mod:`repro.surrogate`).
+
+    Attributes:
+        surrogate: surrogate model name, or ``None`` for a plain search.
+        surrogate_candidates: candidate-pool multiplier of ``population_size``.
+        surrogate_prefilter: fraction of the population given a real evaluation.
+        halving_budgets: successive-halving fine-tuning budgets (empty =
+            no halving).
+
+    The other knobs only act through ``surrogate``; setting one to a
+    non-default value without a surrogate is rejected rather than ignored.
+    """
+
+    surrogate: Optional[str] = None
+    surrogate_candidates: int = 4
+    surrogate_prefilter: float = 0.25
+    halving_budgets: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.surrogate is None:
+            stray = [f.name for f in fields(self) if getattr(self, f.name) != f.default]
+            if stray:
+                raise ValueError(
+                    f"{', '.join(stray)} set without surrogate; with no surrogate "
+                    "model the search would ignore it"
+                )
+
+
+def _knob(name, default, pipeline_config, ga_config):
+    """The first non-``None`` of the GA field, the pipeline field, ``default``."""
+    ga_value = getattr(ga_config, name, None) if ga_config is not None else None
+    if ga_value is not None:
+        return ga_value
+    pipeline_value = (
+        getattr(pipeline_config, name, None) if pipeline_config is not None else None
+    )
+    return pipeline_value if pipeline_value is not None else default
+
+
 def resolve_evaluation_settings(
     pipeline_config=None, ga_config=None
 ) -> EvaluationSettings:
@@ -107,21 +156,28 @@ def resolve_evaluation_settings(
     pair is validated by :class:`EvaluationSettings`, so a ``fault_rate``
     from one config can never meet 0 trials from the other unnoticed.
     """
-
-    def _knob(name, default):
-        ga_value = getattr(ga_config, name, None) if ga_config is not None else None
-        if ga_value is not None:
-            return ga_value
-        pipeline_value = (
-            getattr(pipeline_config, name, None) if pipeline_config is not None else None
-        )
-        return pipeline_value if pipeline_value is not None else default
-
+    configs = (pipeline_config, ga_config)
     return EvaluationSettings(
-        finetune_epochs=_knob("finetune_epochs", 8),
-        fault_rate=_knob("fault_rate", 0.0),
-        n_fault_trials=_knob("n_fault_trials", 0),
-        fault_model=_knob("fault_model", "open"),
+        finetune_epochs=_knob("finetune_epochs", 8, *configs),
+        fault_rate=_knob("fault_rate", 0.0, *configs),
+        n_fault_trials=_knob("n_fault_trials", 0, *configs),
+        fault_model=_knob("fault_model", "open", *configs),
+    )
+
+
+def resolve_surrogate_settings(pipeline_config=None, ga_config=None) -> SurrogateSettings:
+    """Resolve the surrogate knobs with :func:`resolve_evaluation_settings`' precedence.
+
+    The resolved set is validated by :class:`SurrogateSettings`, so a
+    candidate pool, prefilter or halving schedule from either config
+    without a surrogate model from either one is rejected.
+    """
+    configs = (pipeline_config, ga_config)
+    return SurrogateSettings(
+        surrogate=_knob("surrogate", None, *configs),
+        surrogate_candidates=int(_knob("surrogate_candidates", 4, *configs)),
+        surrogate_prefilter=float(_knob("surrogate_prefilter", 0.25, *configs)),
+        halving_budgets=tuple(int(b) for b in _knob("halving_budgets", (), *configs)),
     )
 
 
@@ -138,6 +194,8 @@ def evaluation_settings_for(config, pipeline_config) -> EvaluationSettings:
 
 __all__ = [
     "EvaluationSettings",
+    "SurrogateSettings",
     "evaluation_settings_for",
     "resolve_evaluation_settings",
+    "resolve_surrogate_settings",
 ]

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import math
+import signal
 import threading
 import time
 import urllib.parse
@@ -629,6 +630,11 @@ def serve(
     enqueuer = MissEnqueuer(campaigns[0]) if enqueue_misses else None
     server, _thread = start_server(store, host=host, port=port, enqueuer=enqueuer)
     print(f"serving {len(store.datasets())} dataset front(s) on {server.url}")
+    # SIGTERM takes Ctrl-C's path: shut down, close the socket, return.
+    # Handlers can only be installed from the main thread.
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        previous_handler = signal.signal(signal.SIGTERM, _raise_interrupt)
     try:
         while True:
             time.sleep(refresh_seconds if refresh_seconds else 3600.0)
@@ -642,6 +648,13 @@ def serve(
     finally:
         server.shutdown()
         server.server_close()
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous_handler)
+
+
+def _raise_interrupt(signum, frame) -> None:
+    """SIGTERM handler of :func:`serve`: unwind like Ctrl-C."""
+    raise KeyboardInterrupt
 
 
 __all__ = [

@@ -1,8 +1,20 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestParser:
@@ -144,6 +156,27 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "--fault-rate needs --fault-trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", [[], ["--fault-rate", "0"]])
+    def test_fault_model_without_rate_is_a_usage_error(self, capsys, rate):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure2", "--dataset", "seeds", "--fast", "--fault-model", "short", *rate])
+        assert excinfo.value.code == 2
+        assert "--fault-model needs --fault-rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            ["--surrogate-candidates", "8"],
+            ["--surrogate-prefilter", "0.5"],
+            ["--halving-budgets", "1,2"],
+        ],
+    )
+    def test_surrogate_knob_without_surrogate_is_a_usage_error(self, capsys, knob):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure2", "--dataset", "seeds", "--fast", *knob])
+        assert excinfo.value.code == 2
+        assert f"{knob[0]} needs --surrogate" in capsys.readouterr().err
+
     def test_backend_flag_is_gone(self, capsys):
         for command in (["figure2"], ["serve", "--campaign", "x"]):
             with pytest.raises(SystemExit):
@@ -178,3 +211,48 @@ class TestCommands:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "test accuracy" in output
+
+
+class TestServeShutdown:
+    SPEC = {
+        "name": "sigterm",
+        "datasets": ["seeds"],
+        "pipeline": {"train_epochs": 3, "n_samples": 120, "finetune_epochs": 1},
+        "searches": [{"algorithm": "random", "n_evaluations": 2}],
+    }
+
+    def test_sigterm_closes_the_port_and_exits_zero(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.SPEC))
+        out = tmp_path / "camp"
+        assert main(["campaign", "run", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert main(["campaign", "report", "--out", str(out)]) == 0
+
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+        ).rstrip(os.pathsep)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--campaign", str(out), "--port", "0"],
+            cwd=REPO_ROOT,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            banner = process.stdout.readline()
+            match = re.search(r"http://([\d.]+):(\d+)", banner)
+            assert match, f"no serving banner: {banner!r}"
+            host, port = match.group(1), int(match.group(2))
+            with urllib.request.urlopen(f"http://{host}:{port}/healthz", timeout=30) as resp:
+                assert resp.status == 200
+            process.send_signal(signal.SIGTERM)
+            _, stderr = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=60)
+        assert process.returncode == 0, stderr
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, port), timeout=5).close()

@@ -230,9 +230,16 @@ class TestRobustnessAwareGA:
         assert inherited.n_fault_trials == 3
         assert inherited.fault_model == "level_shift"
         assert inherited.robustness_enabled
-        # Explicit GA knobs beat the pipeline's.
+        # Explicit GA knobs beat the pipeline's. Turning robustness off must
+        # also reset the inherited fault model: a non-default model without
+        # a rate is rejected, not silently ignored.
+        with pytest.raises(ValueError, match="fault_rate > 0"):
+            evaluation_settings_for(
+                GAConfig(finetune_epochs=2, fault_rate=0.0, n_fault_trials=0),
+                pipeline_config,
+            )
         overridden = evaluation_settings_for(
-            GAConfig(finetune_epochs=2, fault_rate=0.0, n_fault_trials=0),
+            GAConfig(finetune_epochs=2, fault_rate=0.0, n_fault_trials=0, fault_model="open"),
             pipeline_config,
         )
         assert overridden.fault_rate == 0.0

@@ -5,7 +5,9 @@ Two concerns:
 * every inheritance combination of ``resolve_evaluation_settings``
   (GA knob, then pipeline knob, then default);
 * knobs that the system would silently ignore are rejected: a positive
-  ``fault_rate`` without fault trials, and the removed ``backend`` knob.
+  ``fault_rate`` without fault trials, a non-default ``fault_model``
+  without a positive ``fault_rate``, surrogate knobs without a surrogate,
+  and the removed ``backend`` knob.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from repro.core import PipelineConfig
 from repro.search.ga import GAConfig
 from repro.search.settings import (
     EvaluationSettings,
+    SurrogateSettings,
     evaluation_settings_for,
     resolve_evaluation_settings,
+    resolve_surrogate_settings,
 )
 
 
@@ -127,6 +131,84 @@ class TestSilentFaultRateRejected:
             CampaignSpec.from_dict(spec)
         spec["pipeline"]["n_fault_trials"] = 2
         assert CampaignSpec.from_dict(spec).pipeline
+
+
+class TestSilentFaultModelRejected:
+    @pytest.mark.parametrize("model", ["short", "level_shift"])
+    def test_settings_reject_fault_model_without_rate(self, model):
+        with pytest.raises(ValueError, match="fault_rate > 0"):
+            EvaluationSettings(fault_model=model)
+        with pytest.raises(ValueError, match="fault_rate > 0"):
+            EvaluationSettings(fault_model=model, n_fault_trials=4)
+        assert EvaluationSettings(fault_model="open").fault_model == "open"
+        settings = EvaluationSettings(fault_model=model, fault_rate=0.1, n_fault_trials=2)
+        assert settings.robustness_enabled
+
+    def test_resolved_model_is_checked_across_configs(self):
+        config = PipelineConfig(dataset="seeds", fault_model="short")
+        with pytest.raises(ValueError, match="fault_rate > 0"):
+            resolve_evaluation_settings(config, ga_config=GAConfig())
+        settings = resolve_evaluation_settings(
+            config, ga_config=GAConfig(fault_rate=0.1, n_fault_trials=2)
+        )
+        assert settings.fault_model == "short"
+
+    def test_campaign_spec_fails_at_parse_time(self):
+        spec = {
+            "datasets": ["seeds"],
+            "searches": [{"algorithm": "ga", "name": "shorts", "fault_model": "short"}],
+        }
+        with pytest.raises(ValueError, match="Search 'shorts'.*fault_rate > 0"):
+            CampaignSpec.from_dict(spec)
+        spec["searches"][0].update(fault_rate=0.05, n_fault_trials=2)
+        assert CampaignSpec.from_dict(spec).searches
+
+
+class TestSilentSurrogateKnobsRejected:
+    @pytest.mark.parametrize(
+        "knobs, name",
+        [
+            ({"surrogate_candidates": 8}, "surrogate_candidates"),
+            ({"surrogate_prefilter": 0.5}, "surrogate_prefilter"),
+            ({"halving_budgets": (1, 2)}, "halving_budgets"),
+        ],
+    )
+    def test_settings_reject_knob_without_model(self, knobs, name):
+        with pytest.raises(ValueError, match=f"{name} set without surrogate"):
+            SurrogateSettings(**knobs)
+        assert SurrogateSettings(surrogate="ridge", **knobs).surrogate == "ridge"
+
+    def test_defaults_without_model_are_accepted(self):
+        assert resolve_surrogate_settings() == SurrogateSettings()
+        # PipelineConfig carries the defaults explicitly; they change nothing.
+        assert resolve_surrogate_settings(PipelineConfig(dataset="seeds")).surrogate is None
+
+    def test_resolved_set_is_checked_across_configs(self):
+        config = PipelineConfig(dataset="seeds", halving_budgets=(1,))
+        with pytest.raises(ValueError, match="halving_budgets set without surrogate"):
+            resolve_surrogate_settings(config, ga_config=GAConfig())
+        # ...and a GA surrogate puts the pipeline's knobs to use.
+        settings = resolve_surrogate_settings(config, ga_config=GAConfig(surrogate="ridge"))
+        assert settings.halving_budgets == (1,)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("surrogate_candidates", 8), ("surrogate_prefilter", 0.5), ("halving_budgets", [1])],
+    )
+    def test_campaign_spec_fails_at_parse_time(self, knob, value):
+        spec = {
+            "datasets": ["seeds"],
+            "searches": [{"algorithm": "ga", "name": "plain", knob: value}],
+        }
+        with pytest.raises(ValueError, match=f"Search 'plain'.*{knob} set without surrogate"):
+            CampaignSpec.from_dict(spec)
+        spec["searches"][0]["surrogate"] = "ridge"
+        assert CampaignSpec.from_dict(spec).searches
+        # A pipeline-level knob reaches non-GA searches too.
+        spec["searches"] = [{"algorithm": "random", "n_evaluations": 2}]
+        spec["pipeline"] = {knob: value}
+        with pytest.raises(ValueError, match=f"{knob} set without surrogate"):
+            CampaignSpec.from_dict(spec)
 
 
 class TestBackendKnobRemoved:

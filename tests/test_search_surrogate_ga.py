@@ -180,6 +180,10 @@ class TestKnobValidationAndInheritance:
         assert ga.surrogate_model == "ridge"
         assert ga.surrogate_candidates == 3
 
+    def test_ga_rejects_knob_without_surrogate(self, golden_prepared):
+        with pytest.raises(ValueError, match="surrogate_prefilter set without surrogate"):
+            HardwareAwareGA(golden_prepared, config=golden_ga_config(surrogate_prefilter=0.5))
+
     def test_off_by_default(self, golden_prepared):
         ga = HardwareAwareGA(golden_prepared, config=golden_ga_config())
         assert ga.surrogate_model is None
