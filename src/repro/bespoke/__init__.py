@@ -22,6 +22,7 @@ from .synthesis import (
     synthesize,
     synthesize_baseline,
     synthesize_cost_only,
+    synthesize_population,
 )
 from .verilog import count_verilog_adders, export_verilog
 
@@ -47,5 +48,6 @@ __all__ = [
     "synthesize",
     "synthesize_baseline",
     "synthesize_cost_only",
+    "synthesize_population",
     "verify_circuit",
 ]

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..hardware.arithmetic import argmax_unit, register_bank
-from ..hardware.fixed_point import FixedPointFormat, derive_format
+from ..hardware.fixed_point import FixedPointFormat, derive_scale, max_symmetric_level
 from ..hardware.technology import TechnologyLibrary, egt_library
 from ..nn.layers import ActivationLayer, Dense
 from ..nn.network import MLP
@@ -117,6 +117,49 @@ def _dense_relu_flags(model: MLP) -> List[bool]:
     return flags
 
 
+def layer_parameters(layers: Sequence[Dense]) -> "tuple[np.ndarray, np.ndarray]":
+    """Stacked effective weights ``(G, in, out)`` and biases ``(G, out)``."""
+    weights = np.stack([layer.effective_weights() for layer in layers])
+    biases = np.stack([
+        layer.effective_bias() if layer.use_bias else np.zeros(layer.n_outputs)
+        for layer in layers
+    ])
+    return weights, biases
+
+
+def quantize_layers(
+    effective: np.ndarray,
+    biases: np.ndarray,
+    weight_bits: Sequence[int],
+    input_bits: Sequence[int],
+) -> "tuple[np.ndarray, np.ndarray, List[FixedPointFormat]]":
+    """Hard-wired integer weights and biases of stacked same-shape layers.
+
+    Single source of truth for the float → hard-wired-integer mapping, for
+    one layer (:func:`derive_layer_spec`) or the same layer of a whole
+    population (:func:`repro.bespoke.synthesis.synthesize_population`).
+    Entry ``g`` of :func:`layer_parameters`' stacks uses ``weight_bits[g]``
+    and ``input_bits[g]``; every operation is element-wise or a per-entry
+    max, so an entry's integers do not depend on what else is stacked with
+    it. Returns ``(weights (G, in, out), biases (G, out), formats)``.
+    """
+    max_abs = np.abs(effective).max(axis=(1, 2))
+    formats = [
+        FixedPointFormat(bits=bits, scale=derive_scale(float(peak), max_symmetric_level(bits)))
+        for bits, peak in zip(weight_bits, max_abs)
+    ]
+    scales = np.array([fmt.scale for fmt in formats])[:, None, None]
+    levels = np.array([fmt.max_level for fmt in formats])[:, None, None]
+    int_weights = np.clip(np.round(effective / scales), -levels, levels).astype(np.int64)
+    # The bias enters the adder tree as one hard-wired operand; it is
+    # quantized on the product grid (weight scale x input LSB).
+    bias_scales = np.array([
+        fmt.scale * (1.0 / ((1 << bits) - 1)) for fmt, bits in zip(formats, input_bits)
+    ])
+    int_biases = np.round(biases / bias_scales[:, None]).astype(np.int64)
+    return int_weights, int_biases, formats
+
+
 def derive_layer_spec(
     layer: Dense,
     weight_bits: int,
@@ -124,31 +167,20 @@ def derive_layer_spec(
     relu: bool,
     config: BespokeConfig,
 ) -> "tuple[LayerCircuitSpec, FixedPointFormat]":
-    """Quantize one Dense layer's effective parameters into a circuit spec.
-
-    Single source of truth for the float → hard-wired-integer mapping, shared
-    by the full netlist construction (:func:`build_bespoke_circuit`) and the
-    cost-only synthesis path (:func:`repro.bespoke.synthesis.synthesize_cost_only`).
-    """
-    effective = layer.effective_weights()
-    fmt = derive_format(effective, weight_bits)
-    int_weights = fmt.to_integers(effective)
-    # The bias enters the adder tree as one hard-wired operand; it is
-    # quantized on the product grid (weight scale x input LSB).
-    bias = layer.effective_bias() if layer.use_bias else np.zeros(layer.n_outputs)
-    input_lsb = 1.0 / ((1 << input_bits) - 1)
-    bias_scale = fmt.scale * input_lsb
-    int_bias = np.round(bias / bias_scale).astype(np.int64)
+    """Quantize one Dense layer's effective parameters into a circuit spec."""
+    int_weights, int_biases, formats = quantize_layers(
+        *layer_parameters([layer]), [weight_bits], [input_bits]
+    )
     spec = LayerCircuitSpec(
-        weights=int_weights,
-        biases=int_bias,
+        weights=int_weights[0],
+        biases=int_biases[0],
         input_bits=input_bits,
         weight_bits=weight_bits,
         relu=relu,
         share_products=config.share_products,
         multiplier_method=config.multiplier_method,
     )
-    return spec, fmt
+    return spec, formats[0]
 
 
 def build_bespoke_circuit(

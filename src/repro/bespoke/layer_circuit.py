@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..hardware.arithmetic import (
     adder_tree_from_widths,
     constant_multiplier,
+    distinct_magnitude_counts,
     neuron_output_width,
     relu_unit,
 )
-from ..hardware.cost import HardwareCost
 from ..hardware.csd import coefficient_bit_length
 from ..hardware.technology import TechnologyLibrary
 from .netlist import CircuitComponent
@@ -231,61 +231,6 @@ def build_layer_circuit(
     )
 
 
-def accumulate_layer_costs(
-    spec: LayerCircuitSpec,
-    tech: TechnologyLibrary,
-    emit: Callable[[str, HardwareCost], None],
-) -> LayerCircuitResult:
-    """Cost-only twin of :func:`build_layer_circuit`.
-
-    Calls ``emit(kind, cost)`` once per hardware block, in exactly the order
-    :func:`build_layer_circuit` instantiates components, but without
-    materializing any :class:`CircuitComponent` (no instance names, no
-    attribute dicts). The returned :class:`LayerCircuitResult` carries an
-    empty component list and the same bookkeeping (output bits, multiplier
-    and shared-product counts). Used by the search inner loop, where only
-    the aggregate synthesis report matters.
-    """
-    weights = np.asarray(spec.weights, dtype=np.int64)
-    biases = np.asarray(spec.biases, dtype=np.int64)
-
-    plan, n_shared = _layer_mult_plan(spec, weights)
-    n_multipliers = 0
-    for _input_index, magnitudes, _fanouts in plan:
-        for magnitude in magnitudes:
-            emit(
-                "multiplier",
-                constant_multiplier(
-                    int(magnitude), spec.input_bits, tech, method=spec.multiplier_method
-                ),
-            )
-            n_multipliers += 1
-
-    max_operands = 0
-    for operand_widths in _neuron_operand_widths(spec, weights, biases):
-        n_operands = len(operand_widths)
-        max_operands = max(max_operands, n_operands)
-        tree_cost = adder_tree_from_widths(operand_widths, tech) if operand_widths else (
-            adder_tree_from_widths([1], tech)
-        )
-        emit("adder_tree", tree_cost)
-        if spec.relu:
-            act_width = neuron_output_width(
-                spec.input_bits, spec.weight_bits, max(n_operands, 1)
-            )
-            emit("activation", relu_unit(act_width, tech))
-
-    output_bits = neuron_output_width(
-        spec.input_bits, spec.weight_bits, max(max_operands, 1)
-    )
-    return LayerCircuitResult(
-        components=[],
-        output_bits=output_bits,
-        n_multipliers=n_multipliers,
-        n_shared_products=n_shared,
-    )
-
-
 def distinct_products_per_input(weights: np.ndarray) -> List[int]:
     """Number of distinct non-zero |coefficients| per input position.
 
@@ -295,10 +240,7 @@ def distinct_products_per_input(weights: np.ndarray) -> List[int]:
     weights = np.asarray(weights)
     if weights.ndim != 2:
         raise ValueError("weights must be 2-D")
-    counts = []
-    for row in weights:
-        counts.append(len(set(abs(int(v)) for v in row if v != 0)))
-    return counts
+    return distinct_magnitude_counts(weights).tolist()
 
 
 def estimate_layer_latency_depth(n_operands: int) -> int:

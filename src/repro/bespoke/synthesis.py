@@ -9,9 +9,18 @@ rationale.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..hardware.arithmetic import argmax_unit, register_bank
+import numpy as np
+
+from ..hardware.arithmetic import (
+    adder_tree_from_sorted_widths,
+    argmax_unit,
+    constant_multiplier,
+    neuron_output_width,
+    register_bank,
+    relu_unit,
+)
 from ..hardware.cost import HardwareCost
 from ..hardware.technology import TechnologyLibrary, egt_library
 from ..nn.network import MLP
@@ -20,9 +29,11 @@ from .circuit import (
     BespokeConfig,
     _dense_relu_flags,
     build_bespoke_circuit,
-    derive_layer_spec,
+    layer_parameters,
+    quantize_layers,
 )
-from .layer_circuit import accumulate_layer_costs
+from .layer_circuit import _integer_bit_lengths
+from .netlist import CircuitComponent
 from .report import SynthesisReport
 
 
@@ -81,89 +92,297 @@ def report_from_circuit(circuit: BespokeCircuit) -> SynthesisReport:
     )
 
 
-class _CostAccumulator:
-    """Streaming equivalent of ``Netlist`` folds + ``report_from_circuit``.
+#: Block kinds; a slot's kind code indexes this tuple.
+_KINDS = CircuitComponent.VALID_KINDS
+_MULTIPLIER, _ADDER_TREE, _ACTIVATION, _ARGMAX, _REGISTER = range(len(_KINDS))
 
-    Consumes ``(kind, layer_index, cost)`` triples in component-instantiation
-    order and reproduces — with the exact same float-accumulation order, so
-    the results are bit-identical — the totals, per-kind/per-layer
-    breakdowns, component counts and the critical-path delay that
-    :func:`report_from_circuit` derives from a full netlist.
+
+def _distinct_columns(keys: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
+    """Distinct columns of a small non-negative int array, and each column's index among them."""
+    if not keys.shape[1]:
+        return [], np.zeros(0, dtype=np.int64)
+    shape = tuple(int(top) + 1 for top in keys.max(axis=1))
+    codes = np.ravel_multi_index(tuple(keys), shape)
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    return np.stack(np.unravel_index(distinct, shape), axis=1).tolist(), inverse.reshape(-1)
+
+
+def _synthesize_group(
+    models: Sequence[MLP],
+    configs: Sequence[BespokeConfig],
+    tech: TechnologyLibrary,
+    names: Sequence[str],
+) -> List[SynthesisReport]:
+    """Synthesis reports of same-architecture models under one mapping convention.
+
+    Every model's circuit is laid out as the same sequence of *slots* —
+    input registers, each layer's multipliers, each neuron's adder tree and
+    ReLU, the argmax, output registers — and a slot holds an index into a
+    table of block costs, or -1 where that model instantiates no block.
+    Blocks sit in the order :func:`build_bespoke_circuit` instantiates
+    them, so a cumulative sum along the slots adds areas and powers in the
+    netlist's order (a missing block adds an exact zero; Python's ``sum``,
+    compensated since 3.12, is never used on floats), and gate counts are
+    integer vectors whose keys are ordered by the slot that first uses
+    them. Each memoized cost kernel is called once per distinct argument of
+    the whole group.
     """
+    config = configs[0]
+    n_models = len(models)
+    dense = [model.dense_layers for model in models]
+    n_layers = len(dense[0])
+    bits = [[c.bits_for_layer(i, n_layers) for i in range(n_layers)] for c in configs]
+    costs: List[HardwareCost] = []
+    slots: List[Tuple[np.ndarray, np.ndarray, int]] = []  # (cost ids, kinds, layer)
 
-    def __init__(self) -> None:
-        self.area = 0.0
-        self.power = 0.0
-        self.gate_counts: Dict[str, int] = {}
-        # per kind / per layer: [area, power, delay_max, gate_counts]
-        self._by_kind: Dict[str, list] = {}
-        self._by_layer: Dict[Optional[int], list] = {}
-        self.counts: Dict[str, int] = {}
-        # critical-path ingredients
-        self._layer_kind_delay: Dict[Tuple[int, str], float] = {}
-        self._argmax_delay = 0.0
-        self._register_delay = 0.0
+    def register(new: List[HardwareCost]) -> np.ndarray:
+        costs.extend(new)
+        return np.arange(len(costs) - len(new), len(costs))
 
-    def add(self, kind: str, layer_index: Optional[int], cost: HardwareCost) -> None:
-        self.area += cost.area
-        self.power += cost.power
-        for cell, count in cost.gate_counts.items():
-            self.gate_counts[cell] = self.gate_counts.get(cell, 0) + count
+    def add(ids: np.ndarray, kinds: Sequence[int], layer: int) -> None:
+        slots.append((ids.reshape(n_models, -1), np.asarray(kinds), layer))
 
-        bucket = self._by_kind.get(kind)
-        if bucket is None:
-            bucket = [0.0, 0.0, 0.0, {}]
-            self._by_kind[kind] = bucket
-        self._fold(bucket, cost)
-        bucket = self._by_layer.get(layer_index)
-        if bucket is None:
-            bucket = [0.0, 0.0, 0.0, {}]
-            self._by_layer[layer_index] = bucket
-        self._fold(bucket, cost)
-        self.counts[kind] = self.counts.get(kind, 0) + 1
+    if config.include_io_registers:
+        width = dense[0][0].n_inputs * config.input_bits
+        add(np.repeat(register([register_bank(width, tech)]), n_models), [_REGISTER], n_layers)
 
-        if layer_index is not None:
-            delay_key = (layer_index, kind)
-            previous = self._layer_kind_delay.get(delay_key, 0.0)
-            self._layer_kind_delay[delay_key] = max(previous, cost.delay)
-        elif kind == "argmax":
-            self._argmax_delay += cost.delay
-        elif kind == "register":
-            self._register_delay = max(self._register_delay, cost.delay)
-
-    @staticmethod
-    def _fold(bucket: list, cost: HardwareCost) -> None:
-        bucket[0] += cost.area
-        bucket[1] += cost.power
-        bucket[2] = max(bucket[2], cost.delay)
-        for cell, count in cost.gate_counts.items():
-            bucket[3][cell] = bucket[3].get(cell, 0) + count
-
-    def critical_path_delay(self, n_layers: int) -> float:
-        delay = 0.0
-        for layer_index in range(n_layers):
-            mult_delay = self._layer_kind_delay.get((layer_index, "multiplier"), 0.0)
-            tree_delay = self._layer_kind_delay.get((layer_index, "adder_tree"), 0.0)
-            act_delay = self._layer_kind_delay.get((layer_index, "activation"), 0.0)
-            delay += mult_delay + tree_delay + act_delay
-        delay += self._argmax_delay
-        delay += self._register_delay
-        return delay
-
-    @staticmethod
-    def _as_cost(bucket: list) -> HardwareCost:
-        return HardwareCost(
-            area=bucket[0], power=bucket[1], delay=bucket[2], gate_counts=bucket[3]
+    input_bits = np.full(n_models, config.input_bits)
+    n_multipliers = np.zeros(n_models, dtype=np.int64)
+    n_shared = np.zeros(n_models, dtype=np.int64)
+    n_active = np.zeros(n_models, dtype=np.int64)
+    for index, relu in enumerate(_dense_relu_flags(models[0])):
+        weight_bits = np.array([b[index] for b in bits])
+        effective, biases = layer_parameters([layers[index] for layers in dense])
+        n_active += np.count_nonzero(effective, axis=(1, 2))
+        weights, biases, _ = quantize_layers(
+            effective, biases, weight_bits.tolist(), input_bits.tolist()
         )
 
-    def by_kind(self) -> Dict[str, HardwareCost]:
-        return {kind: self._as_cost(bucket) for kind, bucket in self._by_kind.items()}
+        # Multipliers, per input position: with sharing one per distinct
+        # non-zero |coefficient| in ascending order, else one per weight.
+        magnitudes = np.abs(weights)
+        nonzero = magnitudes != 0
+        if config.share_products:
+            coefficients = np.sort(magnitudes, axis=2)
+            used = coefficients != 0
+            used[..., 1:] &= coefficients[..., 1:] != coefficients[..., :-1]
+            n_shared += np.count_nonzero(nonzero, axis=(1, 2))
+            n_shared -= np.count_nonzero(used, axis=(1, 2))
+        else:
+            coefficients, used = magnitudes, nonzero
+        n_multipliers += np.count_nonzero(used, axis=(1, 2))
+        pairs, inverse = _distinct_columns(
+            np.stack([coefficients[used], input_bits[np.nonzero(used)[0]]])
+        )
+        # Each model's multipliers in instantiation order, left-aligned.
+        used = used.reshape(n_models, -1)
+        position = np.cumsum(used, axis=1) - 1
+        ids = np.full((n_models, int(position[:, -1].max()) + 1), -1, dtype=np.int64)
+        ids[np.nonzero(used)[0], position[used]] = register([
+            constant_multiplier(c, b, tech, method=config.multiplier_method) for c, b in pairs
+        ])[inverse]
+        add(ids, np.full(ids.shape[1], _MULTIPLIER), index)
 
-    def by_layer(self) -> Dict[int, HardwareCost]:
+        # Per neuron: an adder tree over its operand widths (+ the bias).
+        widths = np.where(nonzero, input_bits[:, None, None] + _integer_bit_lengths(magnitudes), 0)
+        cap = (input_bits + weight_bits)[:, None]
+        bias_widths = np.where(
+            biases != 0,
+            np.maximum(np.minimum(_integer_bit_lengths(np.abs(biases)), cap), 1),
+            0,
+        )
+        operands = np.concatenate([widths.transpose(0, 2, 1), bias_widths[:, :, None]], axis=2)
+        n_operands = np.count_nonzero(operands, axis=2)
+        multisets, inverse = np.unique(
+            np.sort(operands, axis=2).reshape(-1, operands.shape[2]), axis=0, return_inverse=True
+        )
+        absent = operands.shape[2] - np.count_nonzero(multisets, axis=1)
+        trees = register([
+            adder_tree_from_sorted_widths(tuple(row[skip:]), tech)
+            for row, skip in zip(multisets.tolist(), absent.tolist())
+        ])[inverse.reshape(-1)].reshape(n_models, -1)
+        if relu:
+            triples, inverse = _distinct_columns(np.stack([
+                np.repeat(input_bits, n_operands.shape[1]),
+                np.repeat(weight_bits, n_operands.shape[1]),
+                np.maximum(n_operands, 1).reshape(-1),
+            ]))
+            activations = register([
+                relu_unit(neuron_output_width(ib, wb, n), tech) for ib, wb, n in triples
+            ])[inverse].reshape(n_models, -1)
+            neurons = np.stack([trees, activations], axis=2)
+            add(neurons, [_ADDER_TREE, _ACTIVATION] * trees.shape[1], index)
+        else:
+            add(trees, np.full(trees.shape[1], _ADDER_TREE), index)
+        input_bits = np.array([
+            neuron_output_width(ib, wb, max(widest, 1))
+            for ib, wb, widest in zip(
+                input_bits.tolist(), weight_bits.tolist(), n_operands.max(axis=1).tolist()
+            )
+        ])
+
+    n_classes = dense[0][-1].n_outputs
+    index_bits = max(int(math.ceil(math.log2(n_classes))), 1)
+    add(
+        register([argmax_unit(n_classes, b, index_bits, tech) for b in input_bits.tolist()]),
+        [_ARGMAX],
+        n_layers,
+    )
+    if config.include_io_registers:
+        add(np.repeat(register([register_bank(index_bits, tech)]), n_models), [_REGISTER], n_layers)
+
+    # Slot costs: area/power/delay, gate-count vectors over ``cells`` and
+    # each cell's position among its block's keys (``n_cells``: absent).
+    ids = np.concatenate([slot[0] for slot in slots], axis=1)
+    kinds = np.concatenate([slot[1] for slot in slots])
+    layer_of = np.concatenate([np.full(slot[1].size, slot[2]) for slot in slots])
+    cells = list(dict.fromkeys(cell for cost in costs for cell in cost.gate_counts))
+    n_cells = len(cells)
+    column = {cell: i for i, cell in enumerate(cells)}
+    table_counts = np.zeros((len(costs) + 1, n_cells), dtype=np.int64)
+    table_rank = np.full((len(costs) + 1, n_cells), n_cells)
+    for i, cost in enumerate(costs):
+        for position, (cell, count) in enumerate(cost.gate_counts.items()):
+            table_counts[i, column[cell]] = count
+            table_rank[i, column[cell]] = position
+    real = ids >= 0
+    slot_cost = np.where(real, ids, len(costs))
+    area = np.array([c.area for c in costs] + [0.0])[slot_cost]
+    power = np.array([c.power for c in costs] + [0.0])[slot_cost]
+    delay = np.array([c.delay for c in costs] + [0.0])[slot_cost]
+    counts, rank = table_counts[slot_cost], table_rank[slot_cost]
+
+    def fold(columns: np.ndarray) -> dict:
+        """Per model, the composed cost of the blocks in slots ``columns``."""
+        block_rank = rank[:, columns]
+        used = block_rank < n_cells
+        first = np.where(used.any(axis=1), used.argmax(axis=1), columns.size)
+        first_rank = np.take_along_axis(
+            block_rank, np.minimum(first, columns.size - 1)[:, None], axis=1
+        )[:, 0]
         return {
-            -1 if key is None else int(key): self._as_cost(bucket)
-            for key, bucket in self._by_layer.items()
+            "area": np.cumsum(area[:, columns], axis=1)[:, -1].tolist(),
+            "power": np.cumsum(power[:, columns], axis=1)[:, -1].tolist(),
+            "delay": delay[:, columns].max(axis=1).tolist(),
+            "counts": counts[:, columns].sum(axis=1).tolist(),
+            "order": np.argsort(first * (n_cells + 1) + first_rank, axis=1, kind="stable").tolist(),
+            "seen": (first < columns.size).tolist(),
+            "first_slot": np.where(real[:, columns], columns, kinds.size).min(axis=1).tolist(),
+            "size": np.count_nonzero(real[:, columns], axis=1).tolist(),
         }
+
+    def cost_of(group: dict, g: int, delay_value: Optional[float] = None) -> HardwareCost:
+        return HardwareCost(
+            area=group["area"][g],
+            power=group["power"][g],
+            delay=group["delay"][g] if delay_value is None else delay_value,
+            gate_counts={
+                cells[c]: group["counts"][g][c] for c in group["order"][g] if group["seen"][g][c]
+            },
+        )
+
+    # The groups a report breaks costs into: each kind, each layer (the
+    # last one holds the global blocks), and the whole circuit.
+    by_kind = {
+        kind: fold(np.flatnonzero(kinds == code))
+        for code, kind in enumerate(_KINDS)
+        if np.any(kinds == code)
+    }
+    by_layer = {
+        (-1 if layer == n_layers else layer): fold(np.flatnonzero(layer_of == layer))
+        for layer in range(n_layers + 1)
+    }
+    whole = fold(np.arange(kinds.size))
+
+    # Critical path: per layer the slowest multiplier + slowest adder tree
+    # (+ activation), then the argmax chain and the slowest register.
+    def slowest(kind: int, layer: int) -> np.ndarray:
+        return np.where(real & (kinds == kind) & (layer_of == layer), delay, 0.0).max(axis=1)
+
+    critical = np.zeros(n_models)
+    for layer in range(n_layers):
+        critical = critical + (
+            (slowest(_MULTIPLIER, layer) + slowest(_ADDER_TREE, layer))
+            + slowest(_ACTIVATION, layer)
+        )
+    critical = critical + np.cumsum(np.where(kinds == _ARGMAX, delay, 0.0), axis=1)[:, -1]
+    critical = (critical + slowest(_REGISTER, n_layers)).tolist()
+
+    n_connections = sum(layer.weights.size for layer in dense[0])
+    reports = []
+    for g, (model, model_config, name) in enumerate(zip(models, configs, names)):
+        kinds_present = sorted(
+            (group["first_slot"][g], kind) for kind, group in by_kind.items() if group["size"][g]
+        )
+        layers_present = sorted(
+            (group["first_slot"][g], layer) for layer, group in by_layer.items() if group["size"][g]
+        )
+        reports.append(SynthesisReport(
+            circuit_name=name,
+            technology=tech.name,
+            total=cost_of(whole, g, critical[g]),
+            by_kind={kind: cost_of(by_kind[kind], g) for _, kind in kinds_present},
+            by_layer={layer: cost_of(by_layer[layer], g) for _, layer in layers_present},
+            component_counts={kind: by_kind[kind]["size"][g] for _, kind in kinds_present},
+            n_multipliers=int(n_multipliers[g]),
+            n_shared_products=int(n_shared[g]),
+            metadata={
+                "input_bits": model_config.input_bits,
+                "weight_bits": bits[g],
+                "share_products": model_config.share_products,
+                "multiplier_method": model_config.multiplier_method,
+                "topology": model.topology(),
+                "sparsity": 1.0 - int(n_active[g]) / n_connections,
+            },
+        ))
+    return reports
+
+
+def synthesize_population(
+    models: Sequence[MLP],
+    configs: Optional[Sequence[Optional[BespokeConfig]]] = None,
+    tech: Optional[TechnologyLibrary] = None,
+    names: Optional[Sequence[str]] = None,
+) -> List[SynthesisReport]:
+    """Synthesis reports of many models without materializing any netlist.
+
+    Models with the same Dense shapes and mapping convention (everything of
+    their :class:`BespokeConfig` but the weight bit-widths) are synthesized
+    together: their layer specs and operand-width tables are built once,
+    and each memoized block-cost kernel is called once per distinct
+    argument for the whole group. Each report equals
+    ``report_from_circuit(build_bespoke_circuit(model, config, tech, name))``
+    — totals, breakdowns, gate-count key order, counts and delay — which
+    ``tests/test_perf_fastpaths.py`` asserts; use this in search inner
+    loops and the netlist for reports, ablation queries and Verilog export.
+    """
+    models = list(models)
+    configs = [c if c is not None else BespokeConfig() for c in (configs or [None] * len(models))]
+    names = list(names) if names is not None else ["bespoke_mlp"] * len(models)
+    tech = tech if tech is not None else egt_library()
+    groups: Dict[tuple, List[int]] = {}
+    for index, (model, config) in enumerate(zip(models, configs)):
+        dense_layers = model.dense_layers
+        if not dense_layers:
+            raise ValueError("Cannot build a bespoke circuit for an MLP without Dense layers")
+        key = (
+            tuple((layer.n_inputs, layer.n_outputs) for layer in dense_layers),
+            tuple(_dense_relu_flags(model)),
+            config.input_bits,
+            config.share_products,
+            config.multiplier_method,
+            config.include_io_registers,
+        )
+        groups.setdefault(key, []).append(index)
+    reports: List[Optional[SynthesisReport]] = [None] * len(models)
+    for members in groups.values():
+        group_reports = _synthesize_group(
+            [models[i] for i in members], [configs[i] for i in members], tech,
+            [names[i] for i in members],
+        )
+        for index, report in zip(members, group_reports):
+            reports[index] = report
+    return reports
 
 
 def synthesize_cost_only(
@@ -174,82 +393,10 @@ def synthesize_cost_only(
 ) -> SynthesisReport:
     """Synthesis report without materializing the netlist.
 
-    Walks the exact component sequence :func:`build_bespoke_circuit` would
-    instantiate — input registers, per-layer multipliers/adder trees/ReLUs,
-    argmax, output registers — but streams each block's memoized
-    :class:`HardwareCost` into a :class:`_CostAccumulator` instead of
-    building named :class:`~repro.bespoke.netlist.CircuitComponent` objects.
-    The report is bit-identical to ``report_from_circuit(build_bespoke_circuit(...))``
-    (asserted by ``tests/test_perf_fastpaths.py``); use this in search inner
-    loops, and the full netlist path for reports, ablation queries and
-    Verilog export.
+    The one-model case of :func:`synthesize_population`; bit-identical to
+    ``report_from_circuit(build_bespoke_circuit(...))``.
     """
-    config = config if config is not None else BespokeConfig()
-    tech = tech if tech is not None else egt_library()
-    dense_layers = model.dense_layers
-    if not dense_layers:
-        raise ValueError("Cannot build a bespoke circuit for an MLP without Dense layers")
-    relu_flags = _dense_relu_flags(model)
-
-    acc = _CostAccumulator()
-    current_input_bits = config.input_bits
-    if config.include_io_registers:
-        acc.add(
-            "register",
-            None,
-            register_bank(dense_layers[0].n_inputs * config.input_bits, tech),
-        )
-
-    n_multipliers = 0
-    n_shared_products = 0
-    for layer_index, (layer, relu) in enumerate(zip(dense_layers, relu_flags)):
-        weight_bits = config.bits_for_layer(layer_index, len(dense_layers))
-        spec, _fmt = derive_layer_spec(
-            layer, weight_bits, current_input_bits, relu, config
-        )
-        result = accumulate_layer_costs(
-            spec, tech, lambda kind, cost: acc.add(kind, layer_index, cost)
-        )
-        n_multipliers += result.n_multipliers
-        n_shared_products += result.n_shared_products
-        current_input_bits = result.output_bits
-
-    n_classes = dense_layers[-1].n_outputs
-    index_bits = max(int(math.ceil(math.log2(n_classes))), 1)
-    acc.add(
-        "argmax", None, argmax_unit(n_classes, current_input_bits, index_bits, tech)
-    )
-    if config.include_io_registers:
-        acc.add("register", None, register_bank(index_bits, tech))
-
-    total = HardwareCost(
-        area=acc.area,
-        power=acc.power,
-        delay=acc.critical_path_delay(len(dense_layers)),
-        gate_counts=acc.gate_counts,
-    )
-    metadata = {
-        "input_bits": config.input_bits,
-        "weight_bits": [
-            config.bits_for_layer(i, len(dense_layers))
-            for i in range(len(dense_layers))
-        ],
-        "share_products": config.share_products,
-        "multiplier_method": config.multiplier_method,
-        "topology": model.topology(),
-        "sparsity": model.sparsity(),
-    }
-    return SynthesisReport(
-        circuit_name=name,
-        technology=tech.name,
-        total=total,
-        by_kind=acc.by_kind(),
-        by_layer=acc.by_layer(),
-        component_counts=acc.counts,
-        n_multipliers=n_multipliers,
-        n_shared_products=n_shared_products,
-        metadata=metadata,
-    )
+    return synthesize_population([model], [config], tech, [name])[0]
 
 
 def synthesize(

@@ -71,6 +71,9 @@ _RANDOM_PARAMS = frozenset({"n_evaluations"})
 _GRID_PARAMS = frozenset({"bit_choices", "sparsity_choices", "cluster_choices"})
 _SEARCH_PARAMS = {"ga": _GA_PARAMS, "random": _RANDOM_PARAMS, "grid": _GRID_PARAMS}
 
+#: Pipeline-level knobs only the GA reads; a random or grid search rejects them.
+_SURROGATE_KNOBS = ("surrogate", "surrogate_candidates", "surrogate_prefilter", "halving_budgets")
+
 #: Search names become path components of ``jobs/<job_id>/`` — keep them safe.
 _SEARCH_NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
@@ -263,7 +266,9 @@ class CampaignSpec:
         # Resolve each search's evaluation and surrogate knobs the way its
         # jobs will, so a rejected combination (e.g. fault_rate without
         # fault trials, or halving_budgets without a surrogate) fails here.
-        pipeline = SimpleNamespace(**dict(self.pipeline))
+        pipeline_knobs = dict(self.pipeline)
+        pipeline = SimpleNamespace(**pipeline_knobs)
+        stray = [knob for knob in _SURROGATE_KNOBS if pipeline_knobs.get(knob) is not None]
         for search in self.searches:
             ga_params = search.param_dict() if search.algorithm == "ga" else {}
             params = SimpleNamespace(**ga_params)
@@ -272,6 +277,11 @@ class CampaignSpec:
                 resolve_surrogate_settings(pipeline, params)
             except ValueError as error:
                 raise ValueError(f"Search '{search.name}': {error}") from None
+            if stray and search.algorithm != "ga":
+                raise ValueError(
+                    f"Search '{search.name}': pipeline {', '.join(stray)} only applies to "
+                    f"'ga' searches; a '{search.algorithm}' search would ignore it"
+                )
 
     # -- construction ------------------------------------------------------------
 

@@ -15,7 +15,7 @@ All block costs are pure functions of their arguments, and the search inner
 loop asks for the same small domain over and over (coefficients below
 ``2**weight_bits``, a handful of operand-width multisets per layer), so the
 heavyweight entry points — :func:`constant_multiplier`,
-:func:`adder_tree_from_widths`, :func:`argmax_unit` — are memoized on
+:func:`adder_tree_from_widths`, :func:`relu_unit`, :func:`argmax_unit` — are memoized on
 ``(arguments, tech.cache_key)``. The memoized values are frozen
 :class:`HardwareCost` instances shared between callers; they are built by
 the same float operations as the original serial folds, so cached and
@@ -29,6 +29,8 @@ import heapq
 import math
 from typing import Dict, Iterable, List, Tuple
 
+import numpy as np
+
 from .cost import HardwareCost
 from .csd import (
     coefficient_bit_length,
@@ -41,6 +43,7 @@ _RIPPLE_CACHE: Dict[Tuple, HardwareCost] = {}
 _MULT_CACHE: Dict[Tuple, HardwareCost] = {}
 _TREE_CACHE: Dict[Tuple, HardwareCost] = {}
 _ARGMAX_CACHE: Dict[Tuple, HardwareCost] = {}
+_RELU_CACHE: Dict[Tuple, HardwareCost] = {}
 
 
 def clear_cost_caches() -> None:
@@ -49,6 +52,7 @@ def clear_cost_caches() -> None:
     _MULT_CACHE.clear()
     _TREE_CACHE.clear()
     _ARGMAX_CACHE.clear()
+    _RELU_CACHE.clear()
 
 
 def _chain_totals(
@@ -225,12 +229,23 @@ def adder_tree_from_widths(
     the sorted width multiset, which repeats heavily across the neurons of a
     layer and across genomes.
     """
-    widths = sorted(int(w) for w in operand_widths)
+    widths = tuple(sorted(int(w) for w in operand_widths))
     if any(w <= 0 for w in widths):
         raise ValueError("operand widths must be positive")
+    return adder_tree_from_sorted_widths(widths, tech)
+
+
+def adder_tree_from_sorted_widths(
+    widths: Tuple[int, ...], tech: TechnologyLibrary
+) -> HardwareCost:
+    """:func:`adder_tree_from_widths` of an ascending tuple of positive ints.
+
+    The memo lookup without the sort and validation, for callers that
+    build the sorted multisets themselves (population synthesis).
+    """
     if len(widths) <= 1:
         return HardwareCost.zero()
-    key = (tuple(widths), tech.cache_key)
+    key = (widths, tech.cache_key)
     cached = _TREE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -250,7 +265,7 @@ def adder_tree_from_widths(
 
     # Delay: a balanced tree is log-depth, not the full serial chain; scale
     # the accumulated serial delay down to the tree depth.
-    n_operands = len(operand_widths)
+    n_operands = len(widths)
     tree_depth = math.ceil(math.log2(n_operands)) if n_operands > 1 else 0
     serial_stages = n_operands - 1
     delay = depth_delay * (tree_depth / serial_stages) if serial_stages else 0.0
@@ -271,9 +286,11 @@ def relu_unit(width: int, tech: TechnologyLibrary) -> HardwareCost:
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    sign = tech.cost("INV", 1)
-    gates = tech.cost("AND2", width)
-    return sign.serial(gates)
+    key = (int(width), tech.cache_key)
+    cached = _RELU_CACHE.get(key)
+    if cached is None:
+        cached = _RELU_CACHE[key] = tech.cost("INV", 1).serial(tech.cost("AND2", int(width)))
+    return cached
 
 
 def comparator(width: int, tech: TechnologyLibrary) -> HardwareCost:
@@ -324,6 +341,19 @@ def register_bank(width: int, tech: TechnologyLibrary) -> HardwareCost:
     if width < 0:
         raise ValueError(f"width must be non-negative, got {width}")
     return tech.cost("DFF", width)
+
+
+def distinct_magnitude_counts(weights: np.ndarray) -> np.ndarray:
+    """Distinct non-zero ``|w|`` per row of a 2-D weight or coefficient array.
+
+    Under product sharing this is the number of constant multipliers each
+    input position needs: neurons fed by the same input share one
+    multiplier per distinct magnitude.
+    """
+    magnitudes = np.sort(np.abs(np.asarray(weights)), axis=1)
+    fresh = magnitudes != 0
+    fresh[:, 1:] &= magnitudes[:, 1:] != magnitudes[:, :-1]
+    return np.count_nonzero(fresh, axis=1)
 
 
 def neuron_output_width(

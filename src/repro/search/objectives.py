@@ -22,8 +22,13 @@ import numpy as np
 
 from ..bespoke.circuit import BespokeConfig
 from ..bespoke.simulator import FixedPointSimulator, population_accuracy
-from ..bespoke.synthesis import synthesize_cost_only
-from ..clustering.weight_clustering import cluster_model_weights, reproject_clusters
+from ..bespoke.synthesis import synthesize_population
+from ..clustering.weight_clustering import (
+    ClusteringResult,
+    cluster_population,
+    reproject_clusters,
+    reproject_population,
+)
 from ..core import profiling
 from ..core.pipeline import PreparedPipeline
 from ..core.results import DesignPoint
@@ -40,44 +45,50 @@ from .settings import EvaluationSettings
 
 
 def _apply_minimizations(
-    genome: Genome,
+    genomes: Sequence[Genome],
     prepared: PreparedPipeline,
     settings: EvaluationSettings,
-    seed: Optional[int],
+    seeds: Sequence[Optional[int]],
 ):
-    """Prune, cluster and attach quantizers on a fresh baseline clone.
+    """Prune, cluster and attach quantizers on fresh baseline clones.
 
-    The per-genome preamble shared by the serial and stacked evaluation
-    paths — everything of :func:`apply_genome` except the fine-tuning pass.
-    Returns ``(model, clustering_result)``.
+    The preamble shared by the serial and stacked evaluation paths —
+    everything of :func:`apply_genome` except the fine-tuning pass — for
+    one genome or a whole population; the clustering of all genomes runs
+    as one batched k-means program. Returns ``(models, clustering_results)``
+    with ``None`` for genomes that do not cluster.
     """
-    model = prepared.baseline_model.clone()
-    dense_layers = model.dense_layers
-    if genome.n_layers != len(dense_layers):
-        raise ValueError(
-            f"Genome covers {genome.n_layers} layers but the model has {len(dense_layers)}"
-        )
-
-    # 1. Pruning (masks stay in place for the rest of the flow).
-    if any(s > 0.0 for s in genome.sparsity):
-        with profiling.stage("prune"):
-            prune_by_magnitude(model, list(genome.sparsity), global_ranking=False)
+    with profiling.stage("clone"):
+        models = [prepared.baseline_model.clone() for _ in genomes]
+    for genome, model in zip(genomes, models):
+        n_layers = len(model.dense_layers)
+        if genome.n_layers != n_layers:
+            raise ValueError(
+                f"Genome covers {genome.n_layers} layers but the model has {n_layers}"
+            )
+        # 1. Pruning (masks stay in place for the rest of the flow).
+        if any(s > 0.0 for s in genome.sparsity):
+            with profiling.stage("prune"):
+                prune_by_magnitude(model, list(genome.sparsity), global_ranking=False)
 
     # 2. Weight clustering on the surviving weights.
-    clustering_result = None
-    if any(c > 0 for c in genome.clusters):
-        budgets = [c if c > 0 else 10**6 for c in genome.clusters]
+    clusterings: List[Optional[ClusteringResult]] = [None] * len(genomes)
+    clustered = [i for i, genome in enumerate(genomes) if any(c > 0 for c in genome.clusters)]
+    if clustered:
         with profiling.stage("cluster"):
-            clustering_result = cluster_model_weights(
-                model,
-                budgets,
-                seed=seed,
+            results = cluster_population(
+                [models[i] for i in clustered],
+                [[c if c > 0 else 10**6 for c in genomes[i].clusters] for i in clustered],
+                [seeds[i] for i in clustered],
                 per_position=settings.per_position_clustering,
             )
+        for i, result in zip(clustered, results):
+            clusterings[i] = result
 
     # 3. Fake-quantizers for the QAT fine-tuning and the bespoke mapping.
-    attach_quantizers(model, list(genome.weight_bits))
-    return model, clustering_result
+    for genome, model in zip(genomes, models):
+        attach_quantizers(model, list(genome.weight_bits))
+    return models, clusterings
 
 
 def apply_genome(
@@ -91,7 +102,7 @@ def apply_genome(
     Returns the minimized model (the prepared baseline itself is untouched).
     """
     settings = settings if settings is not None else EvaluationSettings()
-    model, clustering_result = _apply_minimizations(genome, prepared, settings, seed)
+    (model,), (clustering_result,) = _apply_minimizations([genome], prepared, settings, [seed])
     _finetune_model(prepared, settings, model, clustering_result, seed)
     return model
 
@@ -105,7 +116,8 @@ def evaluate_genome(
     """Full evaluation of one genome: minimized accuracy and synthesized area.
 
     The synthesis report comes from the cost-only path
-    (:func:`~repro.bespoke.synthesize_cost_only`): the search only consumes
+    (:func:`~repro.bespoke.synthesis.synthesize_population`, the same
+    kernel the stacked path runs on a whole population): the search only consumes
     aggregate area/power/delay, and the cost-only report is bit-identical to
     the full netlist's. Ask :func:`~repro.bespoke.build_bespoke_circuit` for
     the netlist when a winning genome needs inspection or Verilog export.
@@ -139,7 +151,8 @@ def _finetune_model(
                 seed=seed,
             )
         if clustering_result is not None:
-            reproject_clusters(model, clustering_result)
+            with profiling.stage("cluster"):
+                reproject_clusters(model, clustering_result)
 
 
 def _score_model(
@@ -154,7 +167,8 @@ def _score_model(
     bespoke_config = _bespoke_config(genome, prepared)
     simulator = None
     if settings.simulate_accuracy or settings.robustness_enabled:
-        simulator = FixedPointSimulator(model, bespoke_config)
+        with profiling.stage("simulator"):
+            simulator = FixedPointSimulator(model, bespoke_config)
     with profiling.stage("accuracy"):
         if settings.simulate_accuracy:
             accuracy = simulator.evaluate_accuracy(
@@ -173,15 +187,10 @@ def _score_model(
             )
         robust_accuracy = fault_result.mean_accuracy
         accuracy_std = fault_result.accuracy_std
-    return _synthesize_point(
-        genome,
-        prepared,
-        model,
-        bespoke_config,
-        accuracy,
-        robust_accuracy=robust_accuracy,
-        accuracy_std=accuracy_std,
-    )
+    return _synthesize_points(
+        [genome], prepared, [model], [bespoke_config], [accuracy], [robust_accuracy],
+        [accuracy_std],
+    )[0]
 
 
 def _bespoke_config(genome: Genome, prepared: PreparedPipeline) -> BespokeConfig:
@@ -191,34 +200,39 @@ def _bespoke_config(genome: Genome, prepared: PreparedPipeline) -> BespokeConfig
     )
 
 
-def _synthesize_point(
-    genome: Genome,
+def _synthesize_points(
+    genomes: Sequence[Genome],
     prepared: PreparedPipeline,
-    model,
-    bespoke_config: BespokeConfig,
-    accuracy: float,
-    robust_accuracy: Optional[float] = None,
-    accuracy_std: Optional[float] = None,
-) -> DesignPoint:
-    """Cost-only synthesis + design-point assembly shared by both paths."""
+    models: Sequence,
+    bespoke_configs: Sequence[BespokeConfig],
+    accuracies: Sequence[float],
+    robust_accuracies: Sequence[Optional[float]],
+    accuracy_stds: Sequence[Optional[float]],
+) -> List[DesignPoint]:
+    """Cost-only synthesis of a population + design-point assembly (both paths)."""
     with profiling.stage("synthesize"):
-        report = synthesize_cost_only(
-            model,
-            config=bespoke_config,
+        reports = synthesize_population(
+            models,
+            bespoke_configs,
             tech=prepared.technology,
-            name=f"{prepared.metadata.get('dataset', 'mlp')}_combined",
+            names=[f"{prepared.metadata.get('dataset', 'mlp')}_combined"] * len(models),
         )
-    return DesignPoint(
-        technique="combined",
-        accuracy=float(accuracy),
-        area=report.area,
-        power=report.power,
-        delay=report.delay,
-        parameters=genome.as_dict(),
-        report=report,
-        robust_accuracy=robust_accuracy,
-        accuracy_std=accuracy_std,
-    )
+    return [
+        DesignPoint(
+            technique="combined",
+            accuracy=float(accuracy),
+            area=report.area,
+            power=report.power,
+            delay=report.delay,
+            parameters=genome.as_dict(),
+            report=report,
+            robust_accuracy=robust_accuracy,
+            accuracy_std=accuracy_std,
+        )
+        for genome, report, accuracy, robust_accuracy, accuracy_std in zip(
+            genomes, reports, accuracies, robust_accuracies, accuracy_stds
+        )
+    ]
 
 
 def evaluate_genomes_stacked(
@@ -229,23 +243,27 @@ def evaluate_genomes_stacked(
 ) -> List[DesignPoint]:
     """Evaluate a whole population as one stacked tensor program.
 
-    The per-genome preamble (pruning, clustering, quantizer attachment) and
-    the final synthesis stay per-genome loops — they are either cheap or
-    fully memoized — while the two tensor-heavy stages are batched across
-    the population:
+    Pruning and quantizer attachment stay per-genome loops (they are
+    cheap); every other stage runs once for the whole population:
 
+    * clustering and the post-fine-tuning re-projection run as one batched
+      k-means program (:func:`repro.clustering.cluster_population`,
+      :func:`repro.clustering.reproject_population`);
     * quantization-aware fine-tuning runs through
       :func:`repro.nn.stacked.finetune_stacked` (one ``(G, ...)`` tensor
-      program instead of G serial trainings), and
+      program instead of G serial trainings);
     * test accuracy is measured with one batched forward pass —
       :func:`repro.nn.stacked.predict_stacked` for the float model, or
       :func:`repro.bespoke.simulator.population_accuracy` on the integer
-      datapath when ``settings.simulate_accuracy`` is set.
+      datapath when ``settings.simulate_accuracy`` is set;
+    * cost-only synthesis reduces the memoized block costs of all genomes
+      at once (:func:`repro.bespoke.synthesis.synthesize_population`).
 
     Every genome's design point is byte-identical to
     ``evaluate_genome(genome, prepared, settings, seed=seeds[g])`` — the
-    stacked trainer's bit-identity contract plus exact integer/argmax
-    arithmetic make batching numerically invisible, which the golden tests
+    stacked trainer's bit-identity contract, the batched kernels' per-row
+    reduction orders and exact integer/argmax arithmetic make batching
+    numerically invisible, which the golden tests
     in ``tests/test_stacked_evaluation.py`` assert. Populations the stacked
     trainer cannot handle (architecture mismatches, zero fine-tuning
     epochs, non-symmetric quantizers) silently fall back to the serial
@@ -269,14 +287,7 @@ def evaluate_genomes_stacked(
         return _serial_fallback()
 
     with profiling.stage("evaluate_population_stacked"):
-        models = []
-        clusterings = []
-        for genome, seed in zip(genomes, seeds):
-            model, clustering_result = _apply_minimizations(
-                genome, prepared, settings, seed
-            )
-            models.append(model)
-            clusterings.append(clustering_result)
+        models, clusterings = _apply_minimizations(genomes, prepared, settings, seeds)
         if not supports_stacking(models):
             # Finish serially on the models already built — re-running the
             # pruning/clustering preamble would only repeat identical work.
@@ -303,19 +314,20 @@ def evaluate_genomes_stacked(
                 learning_rate=settings.finetune_learning_rate,
                 seeds=seeds,
             )
-        for model, clustering_result in zip(models, clusterings):
-            if clustering_result is not None:
-                reproject_clusters(model, clustering_result)
+        if any(result is not None for result in clusterings):
+            with profiling.stage("cluster"):
+                reproject_population(models, clusterings)
 
         bespoke_configs = [_bespoke_config(genome, prepared) for genome in genomes]
         test = data.test
         labels = np.asarray(test.labels).reshape(-1).astype(int)
         simulators = None
         if settings.simulate_accuracy or settings.robustness_enabled:
-            simulators = [
-                FixedPointSimulator(model, config)
-                for model, config in zip(models, bespoke_configs)
-            ]
+            with profiling.stage("simulator"):
+                simulators = [
+                    FixedPointSimulator(model, config)
+                    for model, config in zip(models, bespoke_configs)
+                ]
         with profiling.stage("accuracy"):
             if settings.simulate_accuracy:
                 accuracies = population_accuracy(simulators, test.features, labels)
@@ -334,20 +346,10 @@ def evaluate_genomes_stacked(
                 )
             robust_accuracies = [result.mean_accuracy for result in fault_results]
             accuracy_stds = [result.accuracy_std for result in fault_results]
-        return [
-            _synthesize_point(
-                genome,
-                prepared,
-                model,
-                config,
-                float(acc),
-                robust_accuracy=robust,
-                accuracy_std=std,
-            )
-            for genome, model, config, acc, robust, std in zip(
-                genomes, models, bespoke_configs, accuracies, robust_accuracies, accuracy_stds
-            )
-        ]
+        return _synthesize_points(
+            genomes, prepared, models, bespoke_configs, accuracies, robust_accuracies,
+            accuracy_stds,
+        )
 
 
 def objectives_of(

@@ -110,6 +110,27 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="Unknown pipeline overrides"):
             CampaignSpec.from_dict(_spec_dict(pipeline={"not_a_field": 1}))
 
+    @pytest.mark.parametrize("knob, value", [
+        ("surrogate", "ridge"),
+        ("surrogate_candidates", 2),
+        ("surrogate_prefilter", 0.5),
+        ("halving_budgets", [1, 2]),
+    ])
+    @pytest.mark.parametrize("algorithm", ["random", "grid"])
+    def test_pipeline_surrogate_knob_rejected_on_non_ga_search(self, knob, value, algorithm):
+        # A random or grid search never reads the surrogate knobs, so a
+        # pipeline-level value would be accepted and silently ignored.
+        data = _spec_dict(searches=[{"algorithm": algorithm, "name": "plain"}])
+        data["pipeline"] = {**data["pipeline"], "surrogate": "ridge", knob: value}
+        with pytest.raises(ValueError, match=rf"Search 'plain': pipeline .*{knob}.*'{algorithm}'"):
+            CampaignSpec.from_dict(data)
+
+    def test_pipeline_surrogate_accepted_on_ga_only_campaign(self):
+        data = _spec_dict(searches=[{"algorithm": "ga", "population_size": 6}])
+        data["pipeline"] = dict(data["pipeline"], surrogate="ridge", halving_budgets=[1])
+        spec = CampaignSpec.from_dict(data)
+        assert dict(spec.pipeline)["surrogate"] == "ridge"
+
     def test_unknown_top_level_field_rejected(self):
         with pytest.raises(ValueError, match="Unknown campaign fields"):
             CampaignSpec.from_dict(_spec_dict(extra_field=1))
