@@ -2,9 +2,10 @@
 
 The PR-3 tentpole batches a whole NSGA-II generation through shared
 ``(G, ...)`` tensor ops (stacked QAT, batched accuracy, vectorized NSGA-II)
-instead of looping genome by genome. This benchmark runs the same figure2
-search per population size — per-genome loop, then stacked — on the
-whitewine pipeline, asserts the Pareto fronts are byte-identical, and
+instead of fine-tuning genome by genome. This benchmark runs the same
+figure2 search per population size — the loop (``stacked=False``: one
+fine-tuning run per genome, clustering and synthesis batched), then
+stacked — on the whitewine pipeline, asserts the Pareto fronts are byte-identical, and
 records the evaluations/s of both paths (plus the speedup) to
 ``BENCH_evaluation.json`` and the ``BENCH_history.json`` trajectory.
 

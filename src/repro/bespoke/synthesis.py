@@ -107,13 +107,22 @@ def _distinct_columns(keys: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
     return np.stack(np.unravel_index(distinct, shape), axis=1).tolist(), inverse.reshape(-1)
 
 
-def _synthesize_group(
+def synthesize_population(
     models: Sequence[MLP],
-    configs: Sequence[BespokeConfig],
-    tech: TechnologyLibrary,
-    names: Sequence[str],
+    configs: Optional[Sequence[Optional[BespokeConfig]]] = None,
+    tech: Optional[TechnologyLibrary] = None,
+    names: Optional[Sequence[str]] = None,
 ) -> List[SynthesisReport]:
-    """Synthesis reports of same-architecture models under one mapping convention.
+    """Synthesis reports of many models without materializing any netlist.
+
+    The models must share their Dense shapes, activations and mapping
+    convention (everything of their :class:`BespokeConfig` but the weight
+    bit-widths) — a search population of one prepared pipeline. Each report
+    equals ``report_from_circuit(build_bespoke_circuit(model, config, tech,
+    name))`` — totals, breakdowns, gate-count key order, counts and delay —
+    which ``tests/test_perf_fastpaths.py`` asserts; use this in search
+    inner loops and the netlist for reports, ablation queries and Verilog
+    export.
 
     Every model's circuit is laid out as the same sequence of *slots* —
     input registers, each layer's multipliers, each neuron's adder tree and
@@ -124,12 +133,39 @@ def _synthesize_group(
     netlist's order (a missing block adds an exact zero; Python's ``sum``,
     compensated since 3.12, is never used on floats), and gate counts are
     integer vectors whose keys are ordered by the slot that first uses
-    them. Each memoized cost kernel is called once per distinct argument of
-    the whole group.
+    them. The layer specs and operand-width tables are built once, and each
+    memoized cost kernel is called once per distinct argument of the whole
+    population.
     """
-    config = configs[0]
-    n_models = len(models)
+    models = list(models)
+    configs = [c if c is not None else BespokeConfig() for c in (configs or [None] * len(models))]
+    names = list(names) if names is not None else ["bespoke_mlp"] * len(models)
+    tech = tech if tech is not None else egt_library()
+    if not models:
+        return []
     dense = [model.dense_layers for model in models]
+    if not dense[0]:
+        raise ValueError("Cannot build a bespoke circuit for an MLP without Dense layers")
+    relu_flags = _dense_relu_flags(models[0])
+    config = configs[0]
+    convention = (
+        [(layer.n_inputs, layer.n_outputs) for layer in dense[0]], relu_flags,
+        config.input_bits, config.share_products, config.multiplier_method,
+        config.include_io_registers,
+    )
+    for model, layers, other in zip(models[1:], dense[1:], configs[1:]):
+        if convention != (
+            [(layer.n_inputs, layer.n_outputs) for layer in layers], _dense_relu_flags(model),
+            other.input_bits, other.share_products, other.multiplier_method,
+            other.include_io_registers,
+        ):
+            raise ValueError(
+                "synthesize_population needs one architecture and mapping convention "
+                "per call (Dense shapes, activations, input_bits, share_products, "
+                "multiplier_method, include_io_registers)"
+            )
+
+    n_models = len(models)
     n_layers = len(dense[0])
     bits = [[c.bits_for_layer(i, n_layers) for i in range(n_layers)] for c in configs]
     costs: List[HardwareCost] = []
@@ -150,7 +186,7 @@ def _synthesize_group(
     n_multipliers = np.zeros(n_models, dtype=np.int64)
     n_shared = np.zeros(n_models, dtype=np.int64)
     n_active = np.zeros(n_models, dtype=np.int64)
-    for index, relu in enumerate(_dense_relu_flags(models[0])):
+    for index, relu in enumerate(relu_flags):
         weight_bits = np.array([b[index] for b in bits])
         effective, biases = layer_parameters([layers[index] for layers in dense])
         n_active += np.count_nonzero(effective, axis=(1, 2))
@@ -193,14 +229,16 @@ def _synthesize_group(
         )
         operands = np.concatenate([widths.transpose(0, 2, 1), bias_widths[:, :, None]], axis=2)
         n_operands = np.count_nonzero(operands, axis=2)
-        multisets, inverse = np.unique(
-            np.sort(operands, axis=2).reshape(-1, operands.shape[2]), axis=0, return_inverse=True
-        )
-        absent = operands.shape[2] - np.count_nonzero(multisets, axis=1)
+        # Each neuron's operand widths as a sorted tuple without the absent
+        # (zero) operands; one adder tree per distinct multiset.
+        multisets: Dict[tuple, int] = {}
+        inverse = [
+            multisets.setdefault(tuple(width for width in row if width), len(multisets))
+            for row in np.sort(operands, axis=2).reshape(-1, operands.shape[2]).tolist()
+        ]
         trees = register([
-            adder_tree_from_sorted_widths(tuple(row[skip:]), tech)
-            for row, skip in zip(multisets.tolist(), absent.tolist())
-        ])[inverse.reshape(-1)].reshape(n_models, -1)
+            adder_tree_from_sorted_widths(widths, tech) for widths in multisets
+        ])[inverse].reshape(n_models, -1)
         if relu:
             triples, inverse = _distinct_columns(np.stack([
                 np.repeat(input_bits, n_operands.shape[1]),
@@ -250,80 +288,83 @@ def _synthesize_group(
     area = np.array([c.area for c in costs] + [0.0])[slot_cost]
     power = np.array([c.power for c in costs] + [0.0])[slot_cost]
     delay = np.array([c.delay for c in costs] + [0.0])[slot_cost]
-    counts, rank = table_counts[slot_cost], table_rank[slot_cost]
 
-    def fold(columns: np.ndarray) -> dict:
-        """Per model, the composed cost of the blocks in slots ``columns``."""
-        block_rank = rank[:, columns]
-        used = block_rank < n_cells
-        first = np.where(used.any(axis=1), used.argmax(axis=1), columns.size)
-        first_rank = np.take_along_axis(
-            block_rank, np.minimum(first, columns.size - 1)[:, None], axis=1
-        )[:, 0]
-        return {
-            "area": np.cumsum(area[:, columns], axis=1)[:, -1].tolist(),
-            "power": np.cumsum(power[:, columns], axis=1)[:, -1].tolist(),
-            "delay": delay[:, columns].max(axis=1).tolist(),
-            "counts": counts[:, columns].sum(axis=1).tolist(),
-            "order": np.argsort(first * (n_cells + 1) + first_rank, axis=1, kind="stable").tolist(),
-            "seen": (first < columns.size).tolist(),
-            "first_slot": np.where(real[:, columns], columns, kinds.size).min(axis=1).tolist(),
-            "size": np.count_nonzero(real[:, columns], axis=1).tolist(),
-        }
-
-    def cost_of(group: dict, g: int, delay_value: Optional[float] = None) -> HardwareCost:
-        return HardwareCost(
-            area=group["area"][g],
-            power=group["power"][g],
-            delay=group["delay"][g] if delay_value is None else delay_value,
-            gate_counts={
-                cells[c]: group["counts"][g][c] for c in group["order"][g] if group["seen"][g][c]
-            },
-        )
-
-    # The groups a report breaks costs into: each kind, each layer (the
-    # last one holds the global blocks), and the whole circuit.
-    by_kind = {
-        kind: fold(np.flatnonzero(kinds == code))
-        for code, kind in enumerate(_KINDS)
-        if np.any(kinds == code)
+    # The groups a report breaks costs into — each kind present, each
+    # layer (the last one holds the global blocks) and the whole circuit —
+    # as a (groups, slots) membership matrix, folded for every model at
+    # once. A cell's key is (first slot using it, its rank in that block),
+    # so sorting the keys orders each dict as the netlist's merges do.
+    kind_codes = [code for code in range(len(_KINDS)) if np.any(kinds == code)]
+    members = np.concatenate([
+        kinds == np.array(kind_codes)[:, None],
+        layer_of == np.arange(n_layers + 1)[:, None],
+        np.ones((1, kinds.size), dtype=bool),
+    ])
+    absent = kinds.size * (n_cells + 1)
+    cell_key = np.where(
+        table_rank[slot_cost] < n_cells,
+        np.arange(kinds.size)[:, None] * (n_cells + 1) + table_rank[slot_cost],
+        absent,
+    )
+    first_key = np.where(members[None, :, :, None], cell_key[:, None], absent).min(axis=2)
+    in_group = real[:, None, :] & members
+    folded = {
+        "area": np.cumsum(np.where(members, area[:, None, :], 0.0), axis=2)[..., -1].tolist(),
+        "power": np.cumsum(np.where(members, power[:, None, :], 0.0), axis=2)[..., -1].tolist(),
+        "delay": np.where(members, delay[:, None, :], 0.0).max(axis=2).tolist(),
+        "counts": (members.astype(np.int64) @ table_counts[slot_cost]).tolist(),
+        "order": np.argsort(first_key, axis=2, kind="stable").tolist(),
+        "seen": (first_key < absent).tolist(),
+        "first_slot": np.where(in_group, np.arange(kinds.size), kinds.size).min(axis=2).tolist(),
+        "size": np.count_nonzero(in_group, axis=2).tolist(),
     }
-    by_layer = {
-        (-1 if layer == n_layers else layer): fold(np.flatnonzero(layer_of == layer))
+    kind_groups = {_KINDS[code]: group for group, code in enumerate(kind_codes)}
+    layer_groups = {
+        (-1 if layer == n_layers else layer): len(kind_codes) + layer
         for layer in range(n_layers + 1)
     }
-    whole = fold(np.arange(kinds.size))
+    whole = len(members) - 1
+
+    def cost_of(g: int, group: int, delay_value: Optional[float] = None) -> HardwareCost:
+        seen, counts = folded["seen"][g][group], folded["counts"][g][group]
+        return HardwareCost(
+            area=folded["area"][g][group],
+            power=folded["power"][g][group],
+            delay=folded["delay"][g][group] if delay_value is None else delay_value,
+            gate_counts={cells[c]: counts[c] for c in folded["order"][g][group] if seen[c]},
+        )
 
     # Critical path: per layer the slowest multiplier + slowest adder tree
     # (+ activation), then the argmax chain and the slowest register.
-    def slowest(kind: int, layer: int) -> np.ndarray:
-        return np.where(real & (kinds == kind) & (layer_of == layer), delay, 0.0).max(axis=1)
-
+    path_kinds = np.array([_MULTIPLIER, _ADDER_TREE, _ACTIVATION])
+    path = (kinds == path_kinds[:, None]) & (layer_of == np.arange(n_layers)[:, None, None])
+    slowest = np.where(path, delay[:, None, None, :], 0.0).max(axis=3)
     critical = np.zeros(n_models)
     for layer in range(n_layers):
         critical = critical + (
-            (slowest(_MULTIPLIER, layer) + slowest(_ADDER_TREE, layer))
-            + slowest(_ACTIVATION, layer)
+            (slowest[:, layer, 0] + slowest[:, layer, 1]) + slowest[:, layer, 2]
         )
     critical = critical + np.cumsum(np.where(kinds == _ARGMAX, delay, 0.0), axis=1)[:, -1]
-    critical = (critical + slowest(_REGISTER, n_layers)).tolist()
+    last_register = np.where((kinds == _REGISTER) & (layer_of == n_layers), delay, 0.0)
+    critical = (critical + last_register.max(axis=1)).tolist()
 
     n_connections = sum(layer.weights.size for layer in dense[0])
     reports = []
     for g, (model, model_config, name) in enumerate(zip(models, configs, names)):
+        first_slot, size = folded["first_slot"][g], folded["size"][g]
         kinds_present = sorted(
-            (group["first_slot"][g], kind) for kind, group in by_kind.items() if group["size"][g]
+            (first_slot[group], kind) for kind, group in kind_groups.items() if size[group]
         )
         layers_present = sorted(
-            (group["first_slot"][g], layer) for layer, group in by_layer.items() if group["size"][g]
+            (first_slot[group], layer) for layer, group in layer_groups.items() if size[group]
         )
         reports.append(SynthesisReport(
             circuit_name=name,
             technology=tech.name,
-            total=cost_of(whole, g, critical[g]),
-            by_kind={kind: cost_of(by_kind[kind], g) for _, kind in kinds_present},
-            by_layer={layer: cost_of(by_layer[layer], g) for _, layer in layers_present},
-            component_counts={kind: by_kind[kind]["size"][g] for _, kind in kinds_present},
+            total=cost_of(g, whole, critical[g]),
+            by_kind={kind: cost_of(g, kind_groups[kind]) for _, kind in kinds_present},
+            by_layer={layer: cost_of(g, layer_groups[layer]) for _, layer in layers_present},
+            component_counts={kind: size[kind_groups[kind]] for _, kind in kinds_present},
             n_multipliers=int(n_multipliers[g]),
             n_shared_products=int(n_shared[g]),
             metadata={
@@ -335,53 +376,6 @@ def _synthesize_group(
                 "sparsity": 1.0 - int(n_active[g]) / n_connections,
             },
         ))
-    return reports
-
-
-def synthesize_population(
-    models: Sequence[MLP],
-    configs: Optional[Sequence[Optional[BespokeConfig]]] = None,
-    tech: Optional[TechnologyLibrary] = None,
-    names: Optional[Sequence[str]] = None,
-) -> List[SynthesisReport]:
-    """Synthesis reports of many models without materializing any netlist.
-
-    Models with the same Dense shapes and mapping convention (everything of
-    their :class:`BespokeConfig` but the weight bit-widths) are synthesized
-    together: their layer specs and operand-width tables are built once,
-    and each memoized block-cost kernel is called once per distinct
-    argument for the whole group. Each report equals
-    ``report_from_circuit(build_bespoke_circuit(model, config, tech, name))``
-    — totals, breakdowns, gate-count key order, counts and delay — which
-    ``tests/test_perf_fastpaths.py`` asserts; use this in search inner
-    loops and the netlist for reports, ablation queries and Verilog export.
-    """
-    models = list(models)
-    configs = [c if c is not None else BespokeConfig() for c in (configs or [None] * len(models))]
-    names = list(names) if names is not None else ["bespoke_mlp"] * len(models)
-    tech = tech if tech is not None else egt_library()
-    groups: Dict[tuple, List[int]] = {}
-    for index, (model, config) in enumerate(zip(models, configs)):
-        dense_layers = model.dense_layers
-        if not dense_layers:
-            raise ValueError("Cannot build a bespoke circuit for an MLP without Dense layers")
-        key = (
-            tuple((layer.n_inputs, layer.n_outputs) for layer in dense_layers),
-            tuple(_dense_relu_flags(model)),
-            config.input_bits,
-            config.share_products,
-            config.multiplier_method,
-            config.include_io_registers,
-        )
-        groups.setdefault(key, []).append(index)
-    reports: List[Optional[SynthesisReport]] = [None] * len(models)
-    for members in groups.values():
-        group_reports = _synthesize_group(
-            [models[i] for i in members], [configs[i] for i in members], tech,
-            [names[i] for i in members],
-        )
-        for index, report in zip(members, group_reports):
-            reports[index] = report
     return reports
 
 

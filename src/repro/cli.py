@@ -449,8 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "the search stages (ga_selection / ga_sort / "
                               "ga_evaluate, plus surrogate_fit / "
                               "surrogate_rank / halving when --surrogate is "
-                              "on) plus the per-genome stages "
-                              "(evaluate_genome, finetune, synthesize, ...); "
+                              "on) plus the evaluation stages "
+                              "(evaluate_population_stacked, finetune, "
+                              "synthesize, ...); "
                               "profiles the driver process only, so combine "
                               "with serial evaluation (--workers 1) for the "
                               "evaluation breakdown")
@@ -471,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure2.add_argument("--generations", type=int, default=8)
     figure2.add_argument("--finetune-epochs", type=int, default=6)
     figure2.add_argument("--no-stacked", action="store_true",
-                         help="evaluate genomes one at a time instead of "
+                         help="fine-tune genomes one at a time instead of "
                               "batching each generation through the stacked "
                               "tensor path (results are byte-identical "
                               "either way; stacked is faster)")

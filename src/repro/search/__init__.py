@@ -28,6 +28,7 @@ from .nsga2 import (
 from .objectives import (
     apply_genome,
     evaluate_genome,
+    evaluate_genomes,
     evaluate_genomes_stacked,
     objectives_of,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "crowding_distance_reference",
     "dominates",
     "evaluate_genome",
+    "evaluate_genomes",
     "evaluate_genomes_stacked",
     "evaluation_settings_for",
     "fast_non_dominated_sort",

@@ -22,7 +22,9 @@ with three responsibilities:
   :func:`~repro.search.objectives.evaluate_genomes_stacked`, which trains
   and scores the whole sub-population as ``(G, ...)`` stacked arrays —
   bit-identical to the per-genome loop, several times faster at
-  population scale.
+  population scale. Without it each batch goes through
+  :func:`~repro.search.objectives.evaluate_genomes`: one fine-tuning run
+  per genome, clustering and synthesis still batched.
 
 :class:`SerialEvaluator` is the in-process implementation (and the fallback
 when no worker pool is available); :class:`~repro.search.parallel.ParallelEvaluator`
@@ -38,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.pipeline import PreparedPipeline
 from ..core.results import DesignPoint
 from .genome import Genome
-from .objectives import evaluate_genome, evaluate_genomes_stacked
+from .objectives import evaluate_genomes, evaluate_genomes_stacked
 from .settings import EvaluationSettings
 
 #: Seeds are reduced modulo 2**32 so they are valid ``numpy`` seeds everywhere.
@@ -139,8 +141,10 @@ class SerialEvaluator:
             via :func:`genome_seed`.
         stacked: route batches of cache misses through the stacked
             population path (:func:`~repro.search.objectives.evaluate_genomes_stacked`)
-            instead of a per-genome loop. Bit-identical results either way;
-            the stacked path amortizes numpy dispatch across the population.
+            instead of one fine-tuning run per genome
+            (:func:`~repro.search.objectives.evaluate_genomes`).
+            Bit-identical results either way; the stacked path amortizes
+            numpy dispatch across the population.
         cache_size: optional LRU bound on the evaluation cache.
         cache: use this cache instance instead of constructing a fresh
             in-memory one. Any :class:`EvaluationCache` subclass works — the
@@ -239,12 +243,8 @@ class SerialEvaluator:
     def _evaluate_missing(self, genomes: List[Genome]) -> List[DesignPoint]:
         """Evaluate uncached genomes in-process. Overridden by the parallel engine."""
         seeds = [genome_seed(self.seed, genome) for genome in genomes]
-        if self.stacked and len(genomes) > 1:
-            return evaluate_genomes_stacked(genomes, self.prepared, self.settings, seeds)
-        return [
-            evaluate_genome(genome, self.prepared, self.settings, seed=seed)
-            for genome, seed in zip(genomes, seeds)
-        ]
+        evaluate = evaluate_genomes_stacked if self.stacked else evaluate_genomes
+        return evaluate(genomes, self.prepared, self.settings, seeds)
 
     # -- introspection -----------------------------------------------------------
 

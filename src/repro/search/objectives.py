@@ -8,10 +8,11 @@ is returned as a ``combined`` :class:`~repro.core.results.DesignPoint`.
 
 These are pure functions of ``(genome, prepared, settings, seed)``; caching
 and parallel fan-out live in :mod:`repro.search.evaluator` and
-:mod:`repro.search.parallel`. :func:`evaluate_genomes_stacked` evaluates a
-whole population at once through the stacked tensor path — byte-identical
-to looping :func:`evaluate_genome`, several times faster at population
-scale.
+:mod:`repro.search.parallel`. :func:`evaluate_genomes` evaluates a batch
+with one fine-tuning run per genome and :func:`evaluate_genomes_stacked`
+a whole population through the stacked tensor path; both cluster and
+synthesize the batch with the population kernels and are byte-identical
+to looping :func:`evaluate_genome`.
 """
 
 from __future__ import annotations
@@ -117,16 +118,67 @@ def evaluate_genome(
 
     The synthesis report comes from the cost-only path
     (:func:`~repro.bespoke.synthesis.synthesize_population`, the same
-    kernel the stacked path runs on a whole population): the search only consumes
+    kernel the batched paths run on a whole population): the search only consumes
     aggregate area/power/delay, and the cost-only report is bit-identical to
     the full netlist's. Ask :func:`~repro.bespoke.build_bespoke_circuit` for
     the netlist when a winning genome needs inspection or Verilog export.
     """
     settings = settings if settings is not None else EvaluationSettings()
     with profiling.stage("evaluate_genome"):
-        model = apply_genome(genome, prepared, settings, seed=seed)
-        point = _score_model(genome, prepared, settings, model, seed=seed)
+        models, clusterings = _apply_minimizations([genome], prepared, settings, [seed])
+        (point,) = _finish_per_genome([genome], prepared, settings, models, clusterings, [seed])
     return point
+
+
+def evaluate_genomes(
+    genomes: Sequence[Genome],
+    prepared: PreparedPipeline,
+    settings: Optional[EvaluationSettings] = None,
+    seeds: Optional[Sequence[Optional[int]]] = None,
+) -> List[DesignPoint]:
+    """Evaluate a batch of genomes with one fine-tuning run per genome.
+
+    Pruning, fine-tuning and accuracy stay per genome; the clustering of
+    the batch runs as one k-means program and its cost-only synthesis as
+    one population call. Every point is byte-identical to
+    ``evaluate_genome(genome, prepared, settings, seed=seeds[g])``. This is
+    the engine's path when the population is not stacked.
+    """
+    settings = settings if settings is not None else EvaluationSettings()
+    genomes, seeds = _aligned_seeds(genomes, seeds)
+    if not genomes:
+        return []
+    with profiling.stage("evaluate_population"):
+        models, clusterings = _apply_minimizations(genomes, prepared, settings, seeds)
+        return _finish_per_genome(genomes, prepared, settings, models, clusterings, seeds)
+
+
+def _aligned_seeds(genomes, seeds) -> Tuple[List[Genome], List[Optional[int]]]:
+    genomes = list(genomes)
+    seeds = [None] * len(genomes) if seeds is None else list(seeds)
+    if len(seeds) != len(genomes):
+        raise ValueError(f"Got {len(seeds)} seeds for {len(genomes)} genomes")
+    return genomes, seeds
+
+
+def _finish_per_genome(
+    genomes: Sequence[Genome],
+    prepared: PreparedPipeline,
+    settings: EvaluationSettings,
+    models: Sequence,
+    clusterings: Sequence[Optional[ClusteringResult]],
+    seeds: Sequence[Optional[int]],
+) -> List[DesignPoint]:
+    """Fine-tune and measure built models one by one, then synthesize them together."""
+    configs = [_bespoke_config(genome, prepared) for genome in genomes]
+    measured = []
+    for model, config, clustering_result, seed in zip(models, configs, clusterings, seeds):
+        _finetune_model(prepared, settings, model, clustering_result, seed)
+        measured.append(_measure_model(prepared, settings, model, config, seed))
+    accuracies, robust_accuracies, accuracy_stds = zip(*measured)
+    return _synthesize_points(
+        genomes, prepared, models, configs, accuracies, robust_accuracies, accuracy_stds
+    )
 
 
 def _finetune_model(
@@ -155,16 +207,15 @@ def _finetune_model(
                 reproject_clusters(model, clustering_result)
 
 
-def _score_model(
-    genome: Genome,
+def _measure_model(
     prepared: PreparedPipeline,
     settings: EvaluationSettings,
     model,
+    bespoke_config: BespokeConfig,
     seed: Optional[int] = None,
-) -> DesignPoint:
-    """Accuracy measurement + cost-only synthesis of one minimized model."""
+) -> Tuple[float, Optional[float], Optional[float]]:
+    """``(accuracy, robust_accuracy, accuracy_std)`` of one minimized model."""
     data = prepared.data
-    bespoke_config = _bespoke_config(genome, prepared)
     simulator = None
     if settings.simulate_accuracy or settings.robustness_enabled:
         with profiling.stage("simulator"):
@@ -176,21 +227,16 @@ def _score_model(
             )
         else:
             accuracy = model.evaluate_accuracy(data.test.features, data.test.labels)
-    robust_accuracy = accuracy_std = None
-    if settings.robustness_enabled:
-        with profiling.stage("robustness"):
-            fault_result = monte_carlo_fault_injection(
-                simulator,
-                data.test.features,
-                data.test.labels,
-                settings.fault_config(seed),
-            )
-        robust_accuracy = fault_result.mean_accuracy
-        accuracy_std = fault_result.accuracy_std
-    return _synthesize_points(
-        [genome], prepared, [model], [bespoke_config], [accuracy], [robust_accuracy],
-        [accuracy_std],
-    )[0]
+    if not settings.robustness_enabled:
+        return accuracy, None, None
+    with profiling.stage("robustness"):
+        fault_result = monte_carlo_fault_injection(
+            simulator,
+            data.test.features,
+            data.test.labels,
+            settings.fault_config(seed),
+        )
+    return accuracy, fault_result.mean_accuracy, fault_result.accuracy_std
 
 
 def _bespoke_config(genome: Genome, prepared: PreparedPipeline) -> BespokeConfig:
@@ -209,7 +255,7 @@ def _synthesize_points(
     robust_accuracies: Sequence[Optional[float]],
     accuracy_stds: Sequence[Optional[float]],
 ) -> List[DesignPoint]:
-    """Cost-only synthesis of a population + design-point assembly (both paths)."""
+    """Cost-only synthesis of a population + design-point assembly (every path)."""
     with profiling.stage("synthesize"):
         reports = synthesize_population(
             models,
@@ -266,41 +312,22 @@ def evaluate_genomes_stacked(
     numerically invisible, which the golden tests
     in ``tests/test_stacked_evaluation.py`` assert. Populations the stacked
     trainer cannot handle (architecture mismatches, zero fine-tuning
-    epochs, non-symmetric quantizers) silently fall back to the serial
-    per-genome loop.
+    epochs, non-symmetric quantizers) silently fall back to per-genome
+    fine-tuning (:func:`evaluate_genomes`).
     """
     settings = settings if settings is not None else EvaluationSettings()
-    genomes = list(genomes)
-    if seeds is None:
-        seeds = [None] * len(genomes)
-    seeds = list(seeds)
-    if len(seeds) != len(genomes):
-        raise ValueError(f"Got {len(seeds)} seeds for {len(genomes)} genomes")
-
-    def _serial_fallback() -> List[DesignPoint]:
-        return [
-            evaluate_genome(genome, prepared, settings, seed=seed)
-            for genome, seed in zip(genomes, seeds)
-        ]
-
+    genomes, seeds = _aligned_seeds(genomes, seeds)
     if len(genomes) < 2 or settings.finetune_epochs <= 0:
-        return _serial_fallback()
+        return evaluate_genomes(genomes, prepared, settings, seeds)
 
     with profiling.stage("evaluate_population_stacked"):
         models, clusterings = _apply_minimizations(genomes, prepared, settings, seeds)
         if not supports_stacking(models):
-            # Finish serially on the models already built — re-running the
+            # Finish per genome on the models already built — re-running the
             # pruning/clustering preamble would only repeat identical work.
-            results = []
-            for genome, model, clustering_result, seed in zip(
-                genomes, models, clusterings, seeds
-            ):
-                with profiling.stage("evaluate_genome"):
-                    _finetune_model(prepared, settings, model, clustering_result, seed)
-                    results.append(
-                        _score_model(genome, prepared, settings, model, seed=seed)
-                    )
-            return results
+            return _finish_per_genome(
+                genomes, prepared, settings, models, clusterings, seeds
+            )
 
         data = prepared.data
         with profiling.stage("finetune"):

@@ -17,13 +17,15 @@ over a ``ProcessPoolExecutor`` while keeping the engine's guarantees:
   working process pools, or if the pool dies mid-run, evaluation falls back
   to the in-process serial path.
 
-The pool composes with the stacked population path: with ``stacked=True``
-each batch of cache misses is split into one contiguous chunk per worker
-and every worker evaluates its chunk as one stacked tensor program
-(:func:`repro.search.objectives.evaluate_genomes_stacked`). Because the
-stacked path is bit-identical per genome, the chunking is numerically
-invisible — any worker count, chunk shape, or stacked/serial mix produces
-the same design points.
+Each batch of cache misses is split into one contiguous chunk per worker.
+A worker evaluates its chunk as one stacked tensor program with
+``stacked=True`` (:func:`repro.search.objectives.evaluate_genomes_stacked`)
+and with one fine-tuning run per genome otherwise
+(:func:`repro.search.objectives.evaluate_genomes`); either way the chunk's
+clustering and synthesis run as population kernels. Both paths are
+bit-identical per genome, so the chunking is numerically invisible — any
+worker count, chunk shape, or stacked/serial mix produces the same design
+points.
 
 Worker processes hold module-level state (set by :func:`_init_worker`);
 tasks then only ship the genomes and their seeds.
@@ -41,7 +43,7 @@ from ..core.pipeline import PreparedPipeline
 from ..core.results import DesignPoint
 from .evaluator import SerialEvaluator, genome_seed
 from .genome import Genome
-from .objectives import evaluate_genome, evaluate_genomes_stacked
+from .objectives import evaluate_genomes, evaluate_genomes_stacked
 from .settings import EvaluationSettings
 
 #: Per-process evaluation state, populated by :func:`_init_worker`.
@@ -67,20 +69,12 @@ def _init_worker(payload: bytes) -> None:
     _WORKER_STATE["settings"] = settings
 
 
-def _evaluate_task(genome: Genome, seed: Optional[int]) -> DesignPoint:
-    """One pool task: evaluate a single genome against the worker's state."""
-    return evaluate_genome(
-        genome, _WORKER_STATE["prepared"], _WORKER_STATE["settings"], seed=seed
-    )
-
-
 def _evaluate_chunk_task(
-    genomes: Sequence[Genome], seeds: Sequence[Optional[int]]
+    genomes: Sequence[Genome], seeds: Sequence[Optional[int]], stacked: bool
 ) -> List[DesignPoint]:
-    """One pool task: evaluate a population chunk through the stacked path."""
-    return evaluate_genomes_stacked(
-        genomes, _WORKER_STATE["prepared"], _WORKER_STATE["settings"], seeds
-    )
+    """One pool task: evaluate a population chunk against the worker's state."""
+    evaluate = evaluate_genomes_stacked if stacked else evaluate_genomes
+    return evaluate(genomes, _WORKER_STATE["prepared"], _WORKER_STATE["settings"], seeds)
 
 
 def _chunk_bounds(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:
@@ -107,7 +101,8 @@ class ParallelEvaluator(SerialEvaluator):
         n_workers: worker processes. ``None``/1 evaluates in-process,
             0 uses every available core.
         stacked: evaluate each worker's share of the population as one
-            stacked tensor program instead of genome-by-genome.
+            stacked tensor program instead of with one fine-tuning run per
+            genome.
         cache_size: optional LRU bound on the evaluation cache.
         cache: injected cache instance (see :class:`SerialEvaluator`). The
             cache lives in the driver process only — workers evaluate misses
@@ -163,23 +158,16 @@ class ParallelEvaluator(SerialEvaluator):
         if self.n_workers > 1 and len(genomes) > 1:
             try:
                 executor = self._ensure_executor()
-                if self.stacked:
-                    futures = [
-                        executor.submit(
-                            _evaluate_chunk_task,
-                            genomes[start:stop],
-                            seeds[start:stop],
-                        )
-                        for start, stop in _chunk_bounds(len(genomes), self.n_workers)
-                    ]
-                    return [
-                        point for future in futures for point in future.result()
-                    ]
                 futures = [
-                    executor.submit(_evaluate_task, genome, seed)
-                    for genome, seed in zip(genomes, seeds)
+                    executor.submit(
+                        _evaluate_chunk_task,
+                        genomes[start:stop],
+                        seeds[start:stop],
+                        self.stacked,
+                    )
+                    for start, stop in _chunk_bounds(len(genomes), self.n_workers)
                 ]
-                return [future.result() for future in futures]
+                return [point for future in futures for point in future.result()]
             except (BrokenExecutor, OSError, pickle.PicklingError) as error:
                 warnings.warn(
                     f"Parallel evaluation unavailable ({error!r}); "
@@ -189,12 +177,8 @@ class ParallelEvaluator(SerialEvaluator):
                 )
                 self.close()
                 self.n_workers = 1
-        if self.stacked and len(genomes) > 1:
-            return evaluate_genomes_stacked(genomes, self.prepared, self.settings, seeds)
-        return [
-            evaluate_genome(genome, self.prepared, self.settings, seed=seed)
-            for genome, seed in zip(genomes, seeds)
-        ]
+        evaluate = evaluate_genomes_stacked if self.stacked else evaluate_genomes
+        return evaluate(genomes, self.prepared, self.settings, seeds)
 
 
 def create_evaluator(

@@ -289,16 +289,17 @@ class TestSynthesizePopulation:
             expected = report_from_circuit(build_bespoke_circuit(model, config, name=name))
             _assert_reports_equal(report, expected)
 
-    def test_mixed_architectures_and_conventions_keep_their_order(self):
+    def test_one_architecture_and_convention_per_call(self):
         first, _ = _minimized_models(1, 2)
-        second, _ = _minimized_models(2, 2)
-        models = [first[0], second[0], first[1], second[1]]
-        configs = [BespokeConfig(), BespokeConfig(share_products=False), None, BespokeConfig(4, 3)]
-        reports = synthesize_population(models, configs)
-        for model, config, report in zip(models, configs, reports):
-            _assert_reports_equal(report, synthesize_cost_only(model, config))
-            expected = report_from_circuit(build_bespoke_circuit(model, config))
-            _assert_reports_equal(report, expected)
+        second, _ = _minimized_models(2, 1)
+        assert synthesize_population([]) == []
+        with pytest.raises(ValueError, match="one architecture"):
+            synthesize_population([first[0], second[0]])
+        with pytest.raises(ValueError, match="one architecture"):
+            synthesize_population(first, [BespokeConfig(), BespokeConfig(share_products=False)])
+        reports = synthesize_population(first, [BespokeConfig(4, 3), BespokeConfig(4, 6)])
+        for model, bits, report in zip(first, (3, 6), reports):
+            _assert_reports_equal(report, synthesize_cost_only(model, BespokeConfig(4, bits)))
 
 
 class TestDistinctProducts:

@@ -28,6 +28,7 @@ from repro.search import (
     HardwareAwareGA,
     SerialEvaluator,
     evaluate_genome,
+    evaluate_genomes,
     evaluate_genomes_stacked,
     genome_seed,
 )
@@ -71,6 +72,37 @@ class TestStackedEvaluationGolden:
         assert [_point_signature(p) for p in serial] == [
             _point_signature(p) for p in stacked
         ]
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            EvaluationSettings(finetune_epochs=2),
+            EvaluationSettings(finetune_epochs=2, simulate_accuracy=True),
+            EvaluationSettings(finetune_epochs=1, fault_rate=0.05, n_fault_trials=3),
+        ],
+        ids=["float", "simulated", "robust"],
+    )
+    def test_per_genome_batch_equals_serial_loop(self, prepared_pipeline, settings):
+        """evaluate_genomes fine-tunes one genome at a time but clusters and
+        synthesizes the batch together; every point matches the loop."""
+        prepared = prepared_pipeline.prepare()
+        genomes = _population_genomes()
+        seeds = [genome_seed(0, genome) for genome in genomes]
+        serial = [
+            evaluate_genome(genome, prepared, settings, seed=seed)
+            for genome, seed in zip(genomes, seeds)
+        ]
+        batched = evaluate_genomes(genomes, prepared, settings, seeds)
+        assert [
+            (_point_signature(p), p.robust_accuracy, p.accuracy_std, p.report)
+            for p in serial
+        ] == [
+            (_point_signature(p), p.robust_accuracy, p.accuracy_std, p.report)
+            for p in batched
+        ]
+        assert evaluate_genomes([], prepared, settings) == []
+        with pytest.raises(ValueError):
+            evaluate_genomes(genomes, prepared, settings, seeds=[1])
 
     def test_zero_epoch_settings_fall_back(self, prepared_pipeline):
         prepared = prepared_pipeline.prepare()
@@ -198,7 +230,7 @@ class TestEngineRouting:
 
 class TestParallelStackedAgreement:
     def test_chunked_pool_matches_serial_stacked(self, prepared_pipeline):
-        """Serial, stacked, and parallel-stacked engines agree byte for byte."""
+        """Serial and parallel engines, stacked or not, agree byte for byte."""
         from repro.search import ParallelEvaluator
 
         prepared = prepared_pipeline.prepare()
@@ -206,16 +238,17 @@ class TestParallelStackedAgreement:
         genomes = _population_genomes(n=5)
         serial = SerialEvaluator(prepared, settings, seed=0)
         expected = serial.evaluate_population(genomes)
-        parallel = ParallelEvaluator(
-            prepared, settings, seed=0, n_workers=2, stacked=True
-        )
-        try:
-            points = parallel.evaluate_population(genomes)
-        finally:
-            parallel.close()
-        assert [_point_signature(p) for p in points] == [
-            _point_signature(p) for p in expected
-        ]
+        for stacked in (True, False):
+            parallel = ParallelEvaluator(
+                prepared, settings, seed=0, n_workers=2, stacked=stacked
+            )
+            try:
+                points = parallel.evaluate_population(genomes)
+            finally:
+                parallel.close()
+            assert [_point_signature(p) for p in points] == [
+                _point_signature(p) for p in expected
+            ]
 
 
 class TestChunkBounds:
