@@ -13,7 +13,7 @@ from repro.bespoke import BespokeConfig, synthesize
 from repro.clustering import kmeans_1d
 from repro.core import DesignPoint, pareto_front
 from repro.datasets import load_dataset, prepare_split, train_val_test_split
-from repro.nn import Trainer, TrainerConfig, build_mlp
+from repro.nn import build_mlp, train_classifier
 from repro.search import EvaluationSettings, Genome, evaluate_genome
 from repro.core.pipeline import MinimizationPipeline
 from repro.core.config import PipelineConfig
@@ -28,12 +28,15 @@ def whitewine_data():
 @pytest.fixture(scope="module")
 def whitewine_model(whitewine_data):
     model = build_mlp(11, (8,), 7, seed=0)
-    trainer = Trainer(model, config=TrainerConfig(epochs=30, early_stopping_patience=None), seed=0)
-    trainer.fit(
+    train_classifier(
+        model,
         whitewine_data.train.features,
         whitewine_data.train.labels,
         whitewine_data.validation.features,
         whitewine_data.validation.labels,
+        epochs=30,
+        patience=None,
+        seed=0,
     )
     return model
 
@@ -51,11 +54,14 @@ def prepared_whitewine():
 def test_bench_training_epoch(benchmark, whitewine_data):
     """One mini-batch training epoch of the WhiteWine classifier."""
     model = build_mlp(11, (8,), 7, seed=0)
-    trainer = Trainer(
-        model, config=TrainerConfig(epochs=1, early_stopping_patience=None, shuffle=False), seed=0
-    )
     benchmark(
-        trainer.fit, whitewine_data.train.features, whitewine_data.train.labels
+        train_classifier,
+        model,
+        whitewine_data.train.features,
+        whitewine_data.train.labels,
+        epochs=1,
+        patience=None,
+        seed=0,
     )
 
 

@@ -1,8 +1,8 @@
 """Hot-path micro-benchmarks of the per-genome evaluation engine.
 
-Times the three layers PR 2 rebuilt — the fused QAT training step, the
-memoized hardware-cost kernels behind (cost-only) synthesis, and the whole
-``evaluate_genome`` composition — on the whitewine pipeline, and records the
+Times the training loop (a one-model QAT run), the memoized hardware-cost
+kernels behind (cost-only) synthesis, and the whole ``evaluate_genome``
+composition on the whitewine pipeline, and records the
 numbers to ``BENCH_evaluation.json`` at the repo root so the perf trajectory
 is tracked across PRs (see ``docs/performance.md``).
 
@@ -17,8 +17,7 @@ import pytest
 from benchlib import SMOKE, bench_config, record_bench, timed
 from repro.bespoke import BespokeConfig, synthesize, synthesize_cost_only
 from repro.core import MinimizationPipeline
-from repro.nn.optimizers import Adam
-from repro.nn.trainer import Trainer, TrainerConfig
+from repro.nn.trainer import train_classifier
 from repro.quantization import attach_quantizers
 from repro.search import EvaluationSettings, Genome, evaluate_genome, genome_seed
 
@@ -70,22 +69,17 @@ def test_trainer_throughput(prepared):
     def run():
         model = prepared.baseline_model.clone()
         attach_quantizers(model, 4)
-        trainer = Trainer(
+        train_classifier(
             model,
-            optimizer=Adam(learning_rate=0.003),
-            config=TrainerConfig(
-                epochs=epochs,
-                batch_size=32,
-                early_stopping_patience=None,
-                restore_best_weights=False,
-            ),
-            seed=0,
-        )
-        trainer.fit(
             data.train.features,
             data.train.labels,
             data.validation.features,
             data.validation.labels,
+            epochs=epochs,
+            batch_size=32,
+            learning_rate=0.003,
+            patience=None,
+            seed=0,
         )
 
     stats = timed(run, repeats=_REPEATS)

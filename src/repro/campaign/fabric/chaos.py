@@ -21,7 +21,10 @@ fault point        fires...
 Actions: ``kill`` raises :class:`ChaosKill` (a ``BaseException``, so it
 sails through the worker's normal failure handling exactly like SIGKILL
 sails through ``except Exception``); ``stall`` tells the caller to skip
-the operation (a hung worker whose lease silently expires). Clock skew is
+the operation (a hung worker whose lease silently expires); ``sigterm``
+sends the worker's own process a real SIGTERM (an operator stopping it at
+that point — :meth:`~.worker.FabricWorker.run` turns it into a clean
+stop). Clock skew is
 modelled separately by :class:`SkewedClock`, and filesystem-level faults
 (torn journal tails, forged stale leases) by the helper functions below —
 they need no cooperation from the victim.
@@ -32,6 +35,8 @@ randomness, so every chaos test replays exactly.
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,7 +54,7 @@ FAULT_POINTS: Tuple[str, ...] = (
 )
 
 #: Actions a fault can take when triggered.
-FAULT_ACTIONS: Tuple[str, ...] = ("kill", "stall")
+FAULT_ACTIONS: Tuple[str, ...] = ("kill", "stall", "sigterm")
 
 
 class ChaosKill(BaseException):
@@ -107,6 +112,8 @@ class ChaosPolicy:
 
         Returns ``None`` (no fault), ``"stall"`` (caller must skip the
         operation), or raises :class:`ChaosKill` for ``kill`` faults.
+        ``sigterm`` faults signal the own process; they refuse to fire
+        while SIGTERM has its default (terminating) disposition.
         """
         seen = self._hits.get(point, 0)
         self._hits[point] = seen + 1
@@ -116,6 +123,11 @@ class ChaosPolicy:
             if fault.after <= seen < fault.after + fault.count:
                 if fault.action == "kill":
                     raise ChaosKill(f"chaos kill at {point} (hit {seen + 1})")
+                if fault.action == "sigterm":
+                    if signal.getsignal(signal.SIGTERM) in (signal.SIG_DFL, None):
+                        raise RuntimeError("chaos sigterm needs a SIGTERM handler")
+                    os.kill(os.getpid(), signal.SIGTERM)
+                    return None
                 return fault.action
         return None
 

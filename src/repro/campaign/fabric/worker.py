@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
+from ...core.signals import sigterm_as_interrupt
 from ..journal import write_json_atomic
 from ..spec import JobSpec
 from .chaos import ChaosEvaluationCache, ChaosPolicy
@@ -63,6 +64,8 @@ class WorkerRunSummary:
     completed: int = 0
     failed: int = 0
     steps: int = 0
+    #: Stopped by Ctrl-C or SIGTERM rather than by the campaign or a limit.
+    interrupted: bool = False
 
 
 class FabricWorker:
@@ -312,6 +315,11 @@ class FabricWorker:
                 )
                 self._release(lease)
                 return "completed"
+        except KeyboardInterrupt:
+            # Stopped mid-job (Ctrl-C or SIGTERM under :meth:`run`): hand
+            # the job back at once instead of holding it until the TTL.
+            self._release(lease)
+            raise
         finally:
             self._lease = None
 
@@ -333,6 +341,11 @@ class FabricWorker:
     ) -> WorkerRunSummary:
         """Drain jobs until the campaign is terminal (or idle too long).
 
+        Ctrl-C or SIGTERM stops the worker cleanly: a held lease is
+        released (the job is claimable by another worker at once, and the
+        evaluations it already cached are reused), ``worker_stopped`` is
+        journaled with ``interrupted: true`` and the summary is returned.
+
         Args:
             poll_interval: sleep between idle scans.
             max_idle_s: exit after this long with nothing claimable
@@ -344,26 +357,34 @@ class FabricWorker:
         summary = WorkerRunSummary(worker_id=self.worker_id)
         idle_since: Optional[float] = None
         self.journal("worker_started", pid=os.getpid())
-        while True:
-            status = self.step()
-            summary.steps += 1
-            if status == "done":
-                break
-            if status == "completed":
-                summary.completed += 1
-                idle_since = None
-            elif status == "failed":
-                summary.failed += 1
-                idle_since = None
-            else:
-                now = time.monotonic()
-                idle_since = idle_since if idle_since is not None else now
-                if max_idle_s is not None and now - idle_since >= max_idle_s:
-                    break
-                self.sleep_fn(poll_interval)
-            if max_jobs is not None and summary.completed + summary.failed >= max_jobs:
-                break
+        try:
+            with sigterm_as_interrupt():
+                while True:
+                    status = self.step()
+                    summary.steps += 1
+                    if status == "done":
+                        break
+                    if status == "completed":
+                        summary.completed += 1
+                        idle_since = None
+                    elif status == "failed":
+                        summary.failed += 1
+                        idle_since = None
+                    else:
+                        now = time.monotonic()
+                        idle_since = idle_since if idle_since is not None else now
+                        if max_idle_s is not None and now - idle_since >= max_idle_s:
+                            break
+                        self.sleep_fn(poll_interval)
+                    if max_jobs is not None and summary.completed + summary.failed >= max_jobs:
+                        break
+        except KeyboardInterrupt:
+            summary.interrupted = True
+            if self._stalled is not None:
+                self._release(self._stalled[1])
+                self._stalled = None
+        extra = {"interrupted": True} if summary.interrupted else {}
         self.journal(
-            "worker_stopped", completed=summary.completed, failed=summary.failed
+            "worker_stopped", completed=summary.completed, failed=summary.failed, **extra
         )
         return summary

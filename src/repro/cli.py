@@ -370,7 +370,7 @@ def _cmd_campaign_work(args: argparse.Namespace) -> int:
     )
     print(
         f"worker {summary.worker_id}: {summary.completed} completed, "
-        f"{summary.failed} failed"
+        f"{summary.failed} failed" + (" (stopped by signal)" if summary.interrupted else "")
     )
     return 0
 

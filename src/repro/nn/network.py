@@ -2,7 +2,7 @@
 
 An :class:`MLP` is the single object every other package operates on:
 
-* the trainer fits it,
+* the trainer (:mod:`repro.nn.stacked`) fits it,
 * the quantization / pruning / clustering packages mutate its Dense layers'
   hooks (quantizers, masks) or weights,
 * the bespoke package reads :meth:`MLP.dense_layers` and their
@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .layers import ActivationLayer, Dense, Dropout, Layer, layer_summary
+from .layers import ActivationLayer, Dense, Layer, layer_summary
 from .metrics import accuracy
 
 
@@ -43,35 +43,27 @@ class MLP:
 
     # -- inference -------------------------------------------------------------
 
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Run the full stack; returns raw output scores (logits)."""
         out = np.asarray(inputs, dtype=np.float64)
         for layer in self.layers:
-            out = layer.forward(out, training=training)
+            out = layer.forward(out)
         return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate through the stack (requires a prior training forward)."""
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Return predicted class indices (argmax of the output scores)."""
-        scores = self.forward(inputs, training=False)
-        return np.argmax(scores, axis=-1)
+        return np.argmax(self.forward(inputs), axis=-1)
 
     def predict_scores(self, inputs: np.ndarray) -> np.ndarray:
         """Return the raw per-class scores (no softmax)."""
-        return self.forward(inputs, training=False)
+        return self.forward(inputs)
 
     def evaluate_accuracy(self, inputs: np.ndarray, labels: np.ndarray) -> float:
         """Top-1 accuracy on ``(inputs, labels)``; labels may be one-hot."""
         return accuracy(labels, self.predict(inputs))
 
-    def __call__(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(inputs, training=training)
+    def __call__(self, inputs: np.ndarray) -> np.ndarray:
+        return self.forward(inputs)
 
     # -- parameters ------------------------------------------------------------
 
@@ -82,14 +74,6 @@ class MLP:
         for layer in self.layers:
             params.extend(layer.parameters)
         return params
-
-    @property
-    def gradients(self) -> List[np.ndarray]:
-        """All gradient arrays, aligned with :attr:`parameters`."""
-        grads: List[np.ndarray] = []
-        for layer in self.layers:
-            grads.extend(layer.gradients)
-        return grads
 
     @property
     def dense_layers(self) -> List[Dense]:
@@ -163,7 +147,6 @@ def build_mlp(
     hidden_layers: Sequence[int],
     n_outputs: int,
     hidden_activation: str = "relu",
-    dropout: float = 0.0,
     use_bias: bool = True,
     weight_initializer: str = "glorot_uniform",
     seed: Optional[int] = None,
@@ -180,7 +163,6 @@ def build_mlp(
             single-layer perceptron).
         n_outputs: number of classes.
         hidden_activation: registered activation name for hidden layers.
-        dropout: dropout rate applied after every hidden activation.
         use_bias: whether Dense layers carry biases.
         weight_initializer: initializer name for all Dense layers.
         seed: seed for reproducible initialization.
@@ -203,8 +185,6 @@ def build_mlp(
             )
         )
         mlp.add(ActivationLayer(hidden_activation))
-        if dropout > 0.0:
-            mlp.add(Dropout(dropout, rng=rng))
         previous = width
     mlp.add(
         Dense(

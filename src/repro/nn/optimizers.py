@@ -1,75 +1,14 @@
-"""Gradient-descent optimizers.
+"""The Adam optimizer of the training loop.
 
-The optimizers operate on lists of parameter/gradient array pairs, which is
-how :class:`repro.nn.network.MLP` exposes its layers. Updates are in-place so
-that layer hooks (masks, quantizers) keep pointing at the same arrays.
+:class:`StackedAdam` updates a ``(G, P)`` matrix holding G models' flattened
+parameters in place; :func:`adam_step` is its element-wise kernel.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
-
-
-class Optimizer:
-    """Base optimizer: subclasses implement :meth:`update`."""
-
-    def __init__(self, learning_rate: float = 0.01) -> None:
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        self.learning_rate = float(learning_rate)
-
-    def update(
-        self, parameters: Sequence[np.ndarray], gradients: Sequence[np.ndarray]
-    ) -> None:
-        """Apply one update step in place."""
-        raise NotImplementedError
-
-    def reset_state(self) -> None:
-        """Clear any accumulated state (momentum buffers etc.)."""
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        nesterov: bool = False,
-    ) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self.nesterov = bool(nesterov)
-        self._velocities: Dict[int, np.ndarray] = {}
-
-    def update(
-        self, parameters: Sequence[np.ndarray], gradients: Sequence[np.ndarray]
-    ) -> None:
-        _check_aligned(parameters, gradients)
-        for param, grad in zip(parameters, gradients):
-            grad = grad + self.weight_decay * param if self.weight_decay else grad
-            if self.momentum > 0.0:
-                key = id(param)
-                velocity = self._velocities.get(key)
-                if velocity is None or velocity.shape != param.shape:
-                    velocity = np.zeros_like(param)
-                velocity = self.momentum * velocity + grad
-                self._velocities[key] = velocity
-                step = (grad + self.momentum * velocity) if self.nesterov else velocity
-            else:
-                step = grad
-            param -= self.learning_rate * step
-
-    def reset_state(self) -> None:
-        self._velocities.clear()
 
 
 def adam_step(
@@ -89,7 +28,8 @@ def adam_step(
 
     The caller subtracts ``step`` from its parameters. ``learning_rate`` is
     a scalar or a ``(G, 1)`` column of per-row rates; either way each element
-    sees the same IEEE operations as the legacy per-parameter loop.
+    sees the same IEEE operations as the per-array expression
+    ``param - lr * m_hat / (sqrt(v_hat) + eps)`` with bias-corrected moments.
     """
     # m = beta1*m + (1-beta1)*g ; v = beta2*v + (1-beta2)*g*g
     np.multiply(grads, 1.0 - beta1, out=step)
@@ -99,7 +39,7 @@ def adam_step(
     sq *= 1.0 - beta2
     v *= beta2
     v += sq
-    # (lr * (m / c1)) / (sqrt(v / c2) + eps), evaluated in the legacy
+    # (lr * (m / c1)) / (sqrt(v / c2) + eps), evaluated in the per-array
     # expression's order.
     np.divide(m, 1.0 - beta1**t, out=step)
     step *= learning_rate
@@ -109,161 +49,15 @@ def adam_step(
     step /= denom
 
 
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015) with bias correction.
-
-    When the same parameter list is passed on every call (the trainer's
-    usage), the update is fused across one flattened buffer: moments live in
-    two flat arrays and the whole step is a handful of in-place vector ops
-    instead of per-parameter numpy round-trips. Adam is element-wise, so the
-    fused step applies the exact float operation sequence of the per-array
-    loop and the trajectories are bit-identical (see
-    ``tests/test_perf_fastpaths.py``). Pass ``fused=False`` to force the
-    historical per-parameter loop.
-    """
-
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        weight_decay: float = 0.0,
-        fused: bool = True,
-    ) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= beta1 < 1.0:
-            raise ValueError(f"beta1 must be in [0, 1), got {beta1}")
-        if not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0, 1), got {beta2}")
-        if epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        if weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
-        self.weight_decay = float(weight_decay)
-        self.fused = bool(fused)
-        self._state: Dict[int, Tuple[np.ndarray, np.ndarray, int]] = {}
-        self._flat: "dict | None" = None
-
-    def update(
-        self, parameters: Sequence[np.ndarray], gradients: Sequence[np.ndarray]
-    ) -> None:
-        _check_aligned(parameters, gradients)
-        if self.fused:
-            flat = self._flat
-            if (
-                flat is not None
-                and len(parameters) == len(flat["params"])
-                # Identity against the arrays the flat state was built for
-                # (held strongly in the state, so a freed array's id can
-                # never be recycled into a false match).
-                and all(p is q for p, q in zip(parameters, flat["params"]))
-            ):
-                self._update_fused(flat, parameters, gradients)
-                return
-            if flat is None and not any(id(p) in self._state for p in parameters):
-                self._flat = self._init_flat(parameters)
-                self._update_fused(self._flat, parameters, gradients)
-                return
-            # The parameter list changed mid-stream: fold the fused moments
-            # back into the per-parameter store and continue on the legacy
-            # path, which handles arbitrary call patterns.
-            if flat is not None:
-                self._defuse(flat)
-        self._update_legacy(parameters, gradients)
-
-    def _update_legacy(
-        self, parameters: Sequence[np.ndarray], gradients: Sequence[np.ndarray]
-    ) -> None:
-        for param, grad in zip(parameters, gradients):
-            grad = grad + self.weight_decay * param if self.weight_decay else grad
-            key = id(param)
-            m, v, t = self._state.get(
-                key, (np.zeros_like(param), np.zeros_like(param), 0)
-            )
-            if m.shape != param.shape:
-                m, v, t = np.zeros_like(param), np.zeros_like(param), 0
-            t += 1
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * (grad * grad)
-            self._state[key] = (m, v, t)
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-    @staticmethod
-    def _init_flat(parameters: Sequence[np.ndarray]) -> dict:
-        sizes = [p.size for p in parameters]
-        total = int(sum(sizes))
-        offsets = []
-        offset = 0
-        for size in sizes:
-            offsets.append(offset)
-            offset += size
-        return {
-            "params": list(parameters),
-            "shapes": [p.shape for p in parameters],
-            "slices": [
-                slice(o, o + s) for o, s in zip(offsets, sizes)
-            ],
-            "m": np.zeros(total),
-            "v": np.zeros(total),
-            "t": 0,
-            "grad": np.empty(total),
-            "sq": np.empty(total),
-            "step": np.empty(total),
-            "denom": np.empty(total),
-        }
-
-    def _update_fused(
-        self,
-        flat: dict,
-        parameters: Sequence[np.ndarray],
-        gradients: Sequence[np.ndarray],
-    ) -> None:
-        g = flat["grad"]
-        for sl, grad in zip(flat["slices"], gradients):
-            g[sl] = grad.reshape(-1)
-        if self.weight_decay:
-            for sl, param in zip(flat["slices"], parameters):
-                g[sl] += self.weight_decay * param.reshape(-1)
-        flat["t"] = flat["t"] + 1
-        step = flat["step"]
-        adam_step(
-            g, flat["m"], flat["v"], step, flat["sq"], flat["denom"],
-            self.learning_rate, self.beta1, self.beta2, self.epsilon, flat["t"],
-        )
-        for sl, param, shape in zip(flat["slices"], parameters, flat["shapes"]):
-            param -= step[sl].reshape(shape)
-
-    def _defuse(self, flat: dict) -> None:
-        """Move fused moments into the per-parameter store, preserving steps."""
-        for param, sl, shape in zip(flat["params"], flat["slices"], flat["shapes"]):
-            self._state[id(param)] = (
-                flat["m"][sl].reshape(shape).copy(),
-                flat["v"][sl].reshape(shape).copy(),
-                flat["t"],
-            )
-        self._flat = None
-
-    def reset_state(self) -> None:
-        self._state.clear()
-        self._flat = None
-
-
 class StackedAdam:
     """Adam over a population axis: one ``(G, P)`` buffer updates G models at once.
 
-    The stacked population trainer (:mod:`repro.nn.stacked`) keeps every
-    genome's parameters flattened into one row of a ``(G, P)`` matrix. This
-    optimizer applies :class:`Adam`'s fused update to the whole matrix with
-    the exact per-element float sequence of the single-model fused path, so
-    row ``g`` evolves bit-identically to a fresh ``Adam`` updating genome
-    ``g`` alone — provided all rows step in lockstep (which the stacked
-    trainer guarantees by evicting early-stopped genomes from the stack).
+    The training loop (:mod:`repro.nn.stacked`) keeps every genome's
+    parameters flattened into one row of a ``(G, P)`` matrix. This optimizer
+    applies :func:`adam_step` to the whole matrix, so row ``g`` evolves
+    bit-identically to a one-row ``StackedAdam`` updating genome ``g`` alone
+    — provided all rows step in lockstep (which the trainer guarantees by
+    evicting early-stopped genomes from the stack).
 
     Per-genome learning rates are supported (the trainer's per-genome LR
     decay) as a ``(G, 1)`` column broadcast: multiplying a row by its scalar
@@ -320,7 +114,6 @@ class StackedAdam:
             self._sq = np.empty_like(parameters)
             self._denom = np.empty_like(parameters)
         self.t += 1
-        # The same per-element float sequence as Adam._update_fused.
         adam_step(
             gradients, self._m, self._v, self._step, self._sq, self._denom,
             self.learning_rates, self.beta1, self.beta2, self.epsilon, self.t,
@@ -336,76 +129,3 @@ class StackedAdam:
             self._step = np.empty_like(self._m)
             self._sq = np.empty_like(self._m)
             self._denom = np.empty_like(self._m)
-
-
-class RMSProp(Optimizer):
-    """RMSProp with exponentially decaying average of squared gradients."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        decay: float = 0.9,
-        epsilon: float = 1e-8,
-    ) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay must be in [0, 1), got {decay}")
-        if epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self.decay = float(decay)
-        self.epsilon = float(epsilon)
-        self._cache: Dict[int, np.ndarray] = {}
-
-    def update(
-        self, parameters: Sequence[np.ndarray], gradients: Sequence[np.ndarray]
-    ) -> None:
-        _check_aligned(parameters, gradients)
-        for param, grad in zip(parameters, gradients):
-            key = id(param)
-            cache = self._cache.get(key)
-            if cache is None or cache.shape != param.shape:
-                cache = np.zeros_like(param)
-            cache = self.decay * cache + (1.0 - self.decay) * (grad * grad)
-            self._cache[key] = cache
-            param -= self.learning_rate * grad / (np.sqrt(cache) + self.epsilon)
-
-    def reset_state(self) -> None:
-        self._cache.clear()
-
-
-def _check_aligned(
-    parameters: Sequence[np.ndarray], gradients: Sequence[np.ndarray]
-) -> None:
-    if len(parameters) != len(gradients):
-        raise ValueError(
-            f"Got {len(parameters)} parameters but {len(gradients)} gradients"
-        )
-    for param, grad in zip(parameters, gradients):
-        if param.shape != grad.shape:
-            raise ValueError(
-                f"Parameter/gradient shape mismatch: {param.shape} vs {grad.shape}"
-            )
-
-
-_REGISTRY: Dict[str, Type[Optimizer]] = {
-    "sgd": SGD,
-    "adam": Adam,
-    "rmsprop": RMSProp,
-}
-
-
-def get_optimizer(name: str, **kwargs) -> Optimizer:
-    """Instantiate an optimizer by name with keyword overrides.
-
-    Raises:
-        KeyError: if ``name`` is not a registered optimizer.
-    """
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise KeyError(f"Unknown optimizer '{name}'. Available: {sorted(_REGISTRY)}")
-    return _REGISTRY[key](**kwargs)
-
-
-def available_optimizers() -> List[str]:
-    """Return the names of all registered optimizers."""
-    return sorted(_REGISTRY)

@@ -14,7 +14,7 @@ from typing import Dict, List, Union
 
 import numpy as np
 
-from .layers import ActivationLayer, Dense, Dropout
+from .layers import ActivationLayer, Dense
 from .network import MLP
 
 
@@ -34,8 +34,6 @@ def _architecture(model: MLP) -> List[Dict[str, object]]:
             )
         elif isinstance(layer, ActivationLayer):
             arch.append({"type": "activation", "name": layer.activation.name})
-        elif isinstance(layer, Dropout):
-            arch.append({"type": "dropout", "rate": layer.rate})
         else:
             raise TypeError(
                 f"Cannot serialize layer of type {type(layer).__name__}"
@@ -101,8 +99,6 @@ def load_model(path: Union[str, Path]) -> MLP:
                 dense_index += 1
             elif layer_type == "activation":
                 model.add(ActivationLayer(str(entry["name"])))
-            elif layer_type == "dropout":
-                model.add(Dropout(float(entry["rate"])))
             else:
                 raise ValueError(f"Unknown layer type in model file: {layer_type}")
     return model

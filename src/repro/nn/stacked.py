@@ -1,47 +1,132 @@
-"""Population-level stacked training: fused QAT for G genomes at once.
+"""The training loop: fused QAT for G same-architecture models at once.
 
-The per-genome evaluation hot path fine-tunes one small MLP per genome; a
-whole NSGA-II generation is G such fine-tunings over the *same* data with
-the *same* schedule, differing only in per-genome weights, pruning masks,
-quantizer bit-widths and RNG seeds. :class:`StackedTrainer` runs all of them
-as one set of ``(G, ...)`` tensor ops — every numpy dispatch is amortized
-over the population instead of being paid per genome, which is where the
-residual single-genome overhead lives (see ``docs/performance.md``).
+The paper retrains after every minimization step: quantization-aware
+training after quantization, and a fine-tune after pruning and after
+clustering. Each of those is a short mini-batch Adam run on one small MLP
+whose Dense layers may carry a pruning mask and fake-quantizers. A whole
+NSGA-II generation is G such runs over the *same* data with the *same*
+schedule, differing only in per-genome weights, pruning masks, quantizer
+bit-widths and RNG seeds. :class:`StackedTrainer` runs all of them as one
+set of ``(G, ...)`` tensor ops, so every numpy dispatch is amortized over
+the population (see ``docs/performance.md``). Training one model is the
+``G = 1`` case: :func:`repro.nn.trainer.train_classifier` and
+:func:`repro.nn.trainer.finetune` are thin wrappers over it.
 
 Bit-identity contract
 ---------------------
 
-Stacked training is *numerically invisible*: genome ``g`` of a stack evolves
-through exactly the float operations the serial
-:class:`~repro.nn.trainer.Trainer` fast path would apply to it alone.
+Stacking is *numerically invisible*: genome ``g`` of a stack evolves
+through exactly the float operations a one-model run applies to it alone,
+which are the float operations of the plain per-batch loop — effective
+weights through :class:`~repro.quantization.SymmetricQuantizer`, softmax
+cross-entropy, backpropagation with the straight-through estimator and the
+per-array Adam expression.
 
 * Batched ``matmul`` over a ``(G, ...)`` stack executes the same GEMM per
-  2-D slice as the serial call; every other op is element-wise or a
+  2-D slice as the one-model call; every other op is element-wise or a
   per-genome-row reduction, so per-element float sequences are unchanged.
 * Each genome keeps its own ``default_rng(seed)`` whose only consumer is the
-  per-epoch shuffle — the same consumption pattern as the serial trainer.
+  per-epoch shuffle.
 * Per-genome early stopping evicts finished genomes from the stack (the
   survivors' arrays are compacted, which copies values verbatim), so active
   genomes always step in lockstep and the shared Adam step count ``t``
-  matches every serial trajectory.
+  matches every one-model trajectory.
 * Per-genome learning-rate decay is a ``(G, 1)`` broadcast column in
   :class:`~repro.nn.optimizers.StackedAdam`.
 
-``tests/test_stacked_trainer.py`` asserts exact byte equality of weights and
-training histories against the serial path, including heterogeneous
-early-stopping populations.
+``tests/test_stacked_trainer.py`` asserts byte equality of weights and
+training histories against the one-model reference loop in
+``tests/oracles.py``, including heterogeneous early-stopping populations,
+and ``tests/test_training_goldens.py`` pins one-model runs on every
+registered dataset.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .layers import ActivationLayer, Dense
 from .network import MLP
 from .optimizers import StackedAdam
-from .trainer import TrainerConfig, TrainingHistory, _one_hot
+
+
+@dataclass
+class TrainingHistory:
+    """Per-epoch record of losses and accuracies."""
+
+    train_loss: List[float] = field(default_factory=list)
+    train_accuracy: List[float] = field(default_factory=list)
+    val_loss: List[float] = field(default_factory=list)
+    val_accuracy: List[float] = field(default_factory=list)
+
+    @property
+    def epochs_run(self) -> int:
+        """Number of epochs trained."""
+        return len(self.train_loss)
+
+    @property
+    def best_val_accuracy(self) -> float:
+        """Highest validation accuracy seen (NaN without validation data)."""
+        return max(self.val_accuracy) if self.val_accuracy else float("nan")
+
+    def as_dict(self) -> Dict[str, List[float]]:
+        """The four per-epoch series as plain lists."""
+        return {
+            "train_loss": list(self.train_loss),
+            "train_accuracy": list(self.train_accuracy),
+            "val_loss": list(self.val_loss),
+            "val_accuracy": list(self.val_accuracy),
+        }
+
+
+@dataclass
+class TrainerConfig:
+    """Hyper-parameters controlling :meth:`StackedTrainer.fit`."""
+
+    epochs: int = 100
+    batch_size: int = 32
+    shuffle: bool = True
+    #: Stop if the monitored quantity has not improved for this many epochs
+    #: (``None`` trains for all ``epochs``).
+    early_stopping_patience: Optional[int] = 15
+    #: ``"val_accuracy"`` or ``"val_loss"`` (falls back to train metrics when
+    #: no validation data is supplied).
+    monitor: str = "val_accuracy"
+    #: Multiply the learning rate by this factor when patience/2 epochs pass
+    #: without improvement (set to 1.0 to disable).
+    lr_decay_factor: float = 0.5
+    min_learning_rate: float = 1e-5
+    #: Restore the best-seen weights at the end of training.
+    restore_best_weights: bool = True
+
+    def __post_init__(self) -> None:
+        if self.epochs <= 0:
+            raise ValueError(f"epochs must be positive, got {self.epochs}")
+        if self.batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if self.early_stopping_patience is not None and self.early_stopping_patience < 1:
+            raise ValueError(
+                "early_stopping_patience must be >= 1 or None, "
+                f"got {self.early_stopping_patience}"
+            )
+        if self.monitor not in ("val_accuracy", "val_loss"):
+            raise ValueError(f"monitor must be 'val_accuracy' or 'val_loss', got {self.monitor}")
+        if not 0.0 < self.lr_decay_factor <= 1.0:
+            raise ValueError("lr_decay_factor must be in (0, 1]")
+        if self.min_learning_rate < 0.0:
+            raise ValueError(
+                f"min_learning_rate must be non-negative, got {self.min_learning_rate}"
+            )
+
+
+def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    labels = np.asarray(labels).reshape(-1).astype(int)
+    out = np.zeros((labels.size, n_classes), dtype=np.float64)
+    out[np.arange(labels.size), labels] = 1.0
+    return out
 
 
 def _layer_signature(model: MLP) -> Tuple:
@@ -60,51 +145,68 @@ def _layer_signature(model: MLP) -> Tuple:
     return tuple(signature)
 
 
-def _quantizer_pattern(model: MLP) -> Optional[Tuple]:
-    """Which parameter tensors carry a SymmetricQuantizer (None = unstackable)."""
+def _quantizer_pattern(model: MLP) -> Tuple:
+    """Which parameter tensors carry a quantizer; raises for unstackable hooks."""
     from ..quantization.quantizers import SymmetricQuantizer
 
     pattern = []
-    for layer in model.dense_layers:
+    for index, layer in enumerate(model.dense_layers):
         for attribute, _array, quantizer, _mask in layer.quantizable_tensors():
             if attribute == "bias" and not layer.use_bias:
                 continue
             if quantizer is None:
                 pattern.append(False)
-            elif type(quantizer) is SymmetricQuantizer:
-                if quantizer.scale is not None:
-                    return None  # frozen scales are a deployment concern, not QAT
-                pattern.append(True)
+            elif type(quantizer) is not SymmetricQuantizer:
+                raise ValueError(
+                    f"Dense layer {index} {attribute} has a {type(quantizer).__name__} "
+                    "hook; training needs dynamic-scale SymmetricQuantizer hooks"
+                )
+            elif quantizer.scale is not None:
+                raise ValueError(
+                    f"Dense layer {index} {attribute} has a frozen-scale "
+                    "SymmetricQuantizer (post-training quantization); training "
+                    "needs dynamic scales"
+                )
             else:
-                return None
+                pattern.append(True)
     return tuple(pattern)
+
+
+def _check_stackable(models: Sequence[MLP]) -> None:
+    """Raise ``ValueError`` naming why these models cannot train as one stack."""
+    if not models:
+        raise ValueError("Cannot train an empty population")
+    first = models[0]
+    if not first.dense_layers:
+        raise ValueError("Cannot train a model without Dense layers")
+    signature = _layer_signature(first)
+    for entry in signature:
+        if entry[0] == "unsupported":
+            raise ValueError(
+                f"Cannot train a model with a {entry[1]} layer; only Dense and "
+                "activation layers are trainable"
+            )
+    pattern = _quantizer_pattern(first)
+    for index, model in enumerate(models[1:], start=1):
+        if _layer_signature(model) != signature:
+            raise ValueError(f"Model {index} has a different architecture than model 0")
+        if _quantizer_pattern(model) != pattern:
+            raise ValueError(f"Model {index} quantizes different tensors than model 0")
 
 
 def supports_stacking(models: Sequence[MLP]) -> bool:
     """Whether :class:`StackedTrainer` can train these models as one stack.
 
     Requires: at least one model, identical Dense/Activation architectures
-    (no Dropout or custom layers — same restriction as the serial fused
-    path), and a shared quantizer pattern where every quantized tensor uses
-    a dynamic-scale :class:`~repro.quantization.SymmetricQuantizer`.
-    Pruning masks and bit-widths may differ freely per model.
+    (no custom layers), and a shared quantizer pattern where every quantized
+    tensor uses a dynamic-scale
+    :class:`~repro.quantization.SymmetricQuantizer`. Pruning masks and
+    bit-widths may differ freely per model.
     """
-    if not models:
+    try:
+        _check_stackable(models)
+    except ValueError:
         return False
-    first = models[0]
-    if not first.dense_layers:
-        return False
-    signature = _layer_signature(first)
-    if any(entry[0] == "unsupported" for entry in signature):
-        return False
-    pattern = _quantizer_pattern(first)
-    if pattern is None:
-        return False
-    for model in models[1:]:
-        if _layer_signature(model) != signature:
-            return False
-        if _quantizer_pattern(model) != pattern:
-            return False
     return True
 
 
@@ -117,14 +219,15 @@ def quantize_into(
 ) -> np.ndarray:
     """The fake-quantization pass: divide, rint, clip, renormalize, rescale.
 
-    Writes into ``out`` with the exact float sequence of the serial
-    quantizer, including the ``+ 0.0`` negative-zero normalization.
+    Writes into ``out`` with the exact float sequence of
+    :class:`~repro.quantization.SymmetricQuantizer`, including the ``+ 0.0``
+    negative-zero normalization.
     """
     np.divide(values, scale, out=out)
     np.rint(out, out=out)
     np.maximum(out, neg_level, out=out)
     np.minimum(out, pos_level, out=out)
-    out += 0.0  # normalize IEEE -0.0 like the serial quantizer
+    out += 0.0  # normalize IEEE -0.0 like SymmetricQuantizer
     out *= scale
     return out
 
@@ -133,15 +236,15 @@ class StackedTrainer:
     """Trains G same-architecture MLPs as one stacked tensor program.
 
     Args:
-        models: the population's models (modified in place at the end of
-            :meth:`fit`, exactly as the serial trainer leaves its model).
+        models: the population's models (their weights and biases are
+            replaced at the end of :meth:`fit`).
         learning_rate: initial learning rate, shared by every genome (each
             genome then decays its own copy independently).
         config: training hyper-parameters, shared by the population.
         seeds: per-genome shuffle seeds (``None`` entries mean unseeded).
 
-    Use :func:`supports_stacking` first; construction raises ``ValueError``
-    for unstackable populations.
+    Construction raises ``ValueError`` naming the cause for populations
+    :func:`supports_stacking` rejects.
     """
 
     def __init__(
@@ -151,11 +254,7 @@ class StackedTrainer:
         config: Optional[TrainerConfig] = None,
         seeds: Optional[Sequence[Optional[int]]] = None,
     ) -> None:
-        if not supports_stacking(models):
-            raise ValueError(
-                "Models cannot be trained stacked (architecture/quantizer mismatch); "
-                "check supports_stacking() first and fall back to serial training"
-            )
+        _check_stackable(models)
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.models = list(models)
@@ -191,9 +290,8 @@ class StackedTrainer:
 
     @staticmethod
     def _build_segments(model: MLP) -> List[dict]:
-        """Flat-buffer layout: one segment per parameter tensor, in the
-        ``model.parameters`` order the fused optimizer uses (weights, then
-        bias, per Dense layer)."""
+        """Flat-buffer layout: one segment per parameter tensor, in
+        ``model.parameters`` order (weights, then bias, per Dense layer)."""
         segments: List[dict] = []
         offset = 0
         for dense_index, layer in enumerate(model.dense_layers):
@@ -224,7 +322,7 @@ class StackedTrainer:
         return params
 
     def _build_pack(self) -> dict:
-        """Stacked analogue of the serial trainer's per-step quant pack."""
+        """Per-step fake-quantization plan: masks, levels, segment geometry."""
         n_models = len(self.models)
         total = self._flat_size
         mask = np.ones((n_models, total))
@@ -255,6 +353,7 @@ class StackedTrainer:
         for seg_index, segment in enumerate(self._segments):
             seg_map[segment["slice"]] = seg_index
         return {
+            "quantized": any(segment["quantized"] for segment in self._segments),
             "mask": mask,
             "pos_level": pos_level,
             "neg_level": -pos_level,
@@ -270,13 +369,18 @@ class StackedTrainer:
     def _apply_pack(self, pack: dict, params: np.ndarray) -> np.ndarray:
         """One stacked fake-quantization pass: raw params -> effective params.
 
-        Per-element float sequence identical to the serial trainer's
-        ``_apply_quant_pack`` (mask multiply, |.|, per-segment scale via
+        Per-element float sequence identical to
+        :meth:`~repro.nn.layers.Dense.effective_weights` with a
+        :class:`~repro.quantization.SymmetricQuantizer` hook (mask multiply,
+        |.|, per-segment scale via
         :func:`~repro.hardware.fixed_point.derive_scale`, divide / rint /
         clip / renormalize / rescale) applied row-wise over the population.
-        Unquantized segments are copied through as masked values, matching
-        the serial generic ``effective_weights()`` path.
+        Unquantized segments are copied through as masked values. When no
+        segment is quantized (float training) the pass is just the mask
+        multiply.
         """
+        if not pack["quantized"]:
+            return np.multiply(params, pack["mask"], out=pack["effective"])
         masked = pack["masked"]
         abs_buf = pack["abs"]
         scale = pack["scale"]
@@ -326,11 +430,11 @@ class StackedTrainer:
     ) -> List[TrainingHistory]:
         """Train the whole population; returns per-genome histories.
 
-        Mirrors :meth:`repro.nn.trainer.Trainer.fit` epoch for epoch: the
-        monitored metric, LR decay, early stopping and best-weight
-        restoration are tracked per genome, and a genome whose patience runs
-        out is evicted from the stack (its serial counterpart would have
-        broken out of the epoch loop at the same point).
+        ``y_train`` / ``y_val`` are integer class labels, one-hot encoded
+        internally against the models' output width. The monitored metric,
+        LR decay, early stopping and best-weight restoration are tracked per
+        genome, and a genome whose patience runs out is evicted from the
+        stack (its one-model run would have stopped at the same epoch).
         """
         cfg = self.config
         x_train = np.asarray(x_train, dtype=np.float64)
@@ -492,8 +596,7 @@ class StackedTrainer:
 
             # Backward; per-tensor gradients scattered into the flat stack.
             # The input gradient of the model's literal first layer is dead
-            # by definition and never computed (same skip as the serial
-            # fused step).
+            # by definition and never computed.
             for plan_index in range(len(self._plan) - 1, -1, -1):
                 is_dense, dense_index, activation = self._plan[plan_index]
                 layer_input = layer_inputs[plan_index]
@@ -520,8 +623,7 @@ class StackedTrainer:
         per_genome_loss = total_loss / max(n_batches, 1)
         for row, genome in enumerate(active):
             histories[genome].train_loss.append(float(per_genome_loss[row]))
-        # Re-quantize once for the post-epoch metrics (the serial path's
-        # effective-weight cache recompute after the last optimizer step).
+        # Re-quantize once for the post-epoch metrics.
         return self._apply_pack(pack, params)
 
     def _segments_for(self, dense_index: int) -> Tuple[dict, Optional[dict]]:
@@ -590,10 +692,11 @@ class StackedTrainer:
 
 
 def _softmax_cross_entropy_rows(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-genome SoftmaxCrossEntropy.forward over ``(G, N, C)`` scores.
+    """Mean softmax cross-entropy per genome over ``(G, N, C)`` logits.
 
-    Replicates :meth:`repro.nn.losses.SoftmaxCrossEntropy.forward` (including
-    its ``np.clip``) per population row; returns a ``(G,)`` loss vector.
+    The validation loss: softmax, probabilities clipped to ``[1e-12, 1]``,
+    per-sample ``-sum(targets * log(p))``, mean over samples. Returns a
+    ``(G,)`` loss vector.
     """
     shifted = scores - np.max(scores, axis=-1, keepdims=True)
     exp = np.exp(shifted)
@@ -614,17 +717,18 @@ def finetune_stacked(
     batch_size: int = 32,
     seeds: Optional[Sequence[Optional[int]]] = None,
 ) -> List[TrainingHistory]:
-    """Population counterpart of :func:`repro.nn.trainer.finetune`.
+    """Short retraining of a population after a minimization step.
 
-    Same hyper-parameter derivation (aggressive early stopping, small LR),
-    one stacked trainer instead of G serial ones. Genome ``g`` ends with
-    byte-identical weights to ``finetune(models[g], ..., seed=seeds[g])``.
+    Uses a smaller learning rate and fewer epochs than initial training, and
+    keeps early stopping aggressive — matching how QAT retraining is applied
+    in the paper's QKeras flow. :func:`repro.nn.trainer.finetune` is the
+    one-model case; genome ``g`` ends with byte-identical weights to
+    ``finetune(models[g], ..., seed=seeds[g])``.
     """
     config = TrainerConfig(
         epochs=epochs,
         batch_size=batch_size,
         early_stopping_patience=max(3, epochs // 3),
-        verbose=False,
     )
     trainer = StackedTrainer(models, learning_rate, config=config, seeds=seeds)
     return trainer.fit(x_train, y_train, x_val, y_val)
@@ -634,7 +738,7 @@ def predict_stacked(models: Sequence[MLP], features: np.ndarray) -> np.ndarray:
     """Batched class predictions for a population of same-topology models.
 
     Stacks each model's *effective* (masked + quantized) parameters — built
-    per model with the exact serial ``effective_weights()`` path — and runs
+    per model with ``effective_weights()`` — and runs
     one batched forward pass; returns ``(G, n_samples)`` predicted classes,
     byte-identical to calling ``model.predict`` per model.
     """

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import json
 import math
-import signal
 import threading
 import time
 import urllib.parse
@@ -59,6 +58,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 from ..campaign.fabric.layout import FabricLayout
 from ..campaign.journal import write_json_atomic
 from ..campaign.spec import CampaignSpec, JobSpec
+from ..core.signals import sigterm_as_interrupt
 from .query import QueryEngine, QueryValidationError
 from .store import FrontStore, UnknownDatasetError, is_safe_dataset_name
 
@@ -631,30 +631,20 @@ def serve(
     server, _thread = start_server(store, host=host, port=port, enqueuer=enqueuer)
     print(f"serving {len(store.datasets())} dataset front(s) on {server.url}")
     # SIGTERM takes Ctrl-C's path: shut down, close the socket, return.
-    # Handlers can only be installed from the main thread.
-    on_main_thread = threading.current_thread() is threading.main_thread()
-    if on_main_thread:
-        previous_handler = signal.signal(signal.SIGTERM, _raise_interrupt)
     try:
-        while True:
-            time.sleep(refresh_seconds if refresh_seconds else 3600.0)
-            if refresh_seconds:
-                if refresh_reports:
-                    store.refresh(rebuild_reports=True)
-                else:
-                    store.refresh()
+        with sigterm_as_interrupt():
+            while True:
+                time.sleep(refresh_seconds if refresh_seconds else 3600.0)
+                if refresh_seconds:
+                    if refresh_reports:
+                        store.refresh(rebuild_reports=True)
+                    else:
+                        store.refresh()
     except KeyboardInterrupt:
         pass
     finally:
         server.shutdown()
         server.server_close()
-        if on_main_thread:
-            signal.signal(signal.SIGTERM, previous_handler)
-
-
-def _raise_interrupt(signum, frame) -> None:
-    """SIGTERM handler of :func:`serve`: unwind like Ctrl-C."""
-    raise KeyboardInterrupt
 
 
 __all__ = [

@@ -28,6 +28,7 @@ from repro.campaign.fabric import (
     forge_lease,
     truncate_tail,
 )
+from repro.campaign.fabric.layout import read_worker_events
 
 TTL = 10.0
 JOB_IDS = ("seeds-random-s0", "seeds-random-s1")
@@ -120,6 +121,32 @@ class TestChaosGolden:
             for job_id in JOB_IDS
         ]
         assert max(preloaded) >= 2, f"expected cache fast-forward, got {preloaded}"
+
+    def test_sigterm_mid_job_hands_the_lease_back(self, tmp_path, reference):
+        """SIGTERM between two journaled evaluations: the worker releases its
+        lease and journals ``worker_stopped``; a second worker completes the
+        job at once (no TTL wait) and the fronts match the serial run."""
+        clock = ManualClock()
+        coordinator = _coordinator(tmp_path, clock)
+        coordinator.publish()
+        stopped = _worker(
+            coordinator,
+            "stopped",
+            clock,
+            chaos=ChaosPolicy(faults=(FaultSpec("evaluation_put", "sigterm", after=1),)),
+        )
+        summary = stopped.run(max_idle_s=0.0)
+        assert summary.interrupted and summary.completed == 0
+        assert list(coordinator.layout.leases_dir.iterdir()) == []
+        events = read_worker_events(coordinator.layout.worker_journal("stopped"))
+        assert events[-1]["event"] == "worker_stopped"
+        assert events[-1]["interrupted"] is True
+        # no clock.advance: the released job is claimable immediately
+        replacement = _worker(coordinator, "replacement", clock)
+        assert replacement.step() == "completed"
+        status = _drain(coordinator, replacement, clock)
+        assert status.complete
+        _assert_bytes_identical(reference, coordinator.directory)
 
     def test_heartbeat_stall(self, tmp_path, reference):
         """A hung worker keeps its lease without heartbeating: the coordinator

@@ -2,7 +2,8 @@
 
 Includes the compact real-SIGKILL smoke: a worker subprocess is killed
 mid-campaign and a subsequent coordinate (serial fallback) finishes the
-job grid byte-identically to an uninterrupted ``campaign run``.
+job grid byte-identically to an uninterrupted ``campaign run``; and the
+SIGTERM smoke: a worker stopped mid-job hands its lease back and exits 0.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignSpec, FabricCoordinator
+from repro.campaign import CampaignRunner, CampaignSpec, FabricCoordinator, FabricWorker
+from repro.campaign.fabric.layout import FabricLayout, read_worker_events
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -120,23 +122,77 @@ class TestWorkVerb:
         assert "not found" in capsys.readouterr().out
 
 
+def _start_worker(out_dir, worker_id, lease_ttl="2"):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "campaign", "work",
+         "--out", str(out_dir), "--worker-id", worker_id,
+         "--lease-ttl", lease_ttl, "--poll-interval", "0.05", "--max-idle", "30"],
+        cwd=REPO_ROOT,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+
+
+class TestFabricSigtermSmoke:
+    """Real SIGTERM on a worker subprocess while it runs a job."""
+
+    #: One job long enough (about a second) for the signal to land mid-run.
+    SPEC = {
+        "name": "fabric-sigterm",
+        "datasets": ["seeds"],
+        "seeds": [0],
+        "pipeline": {"train_epochs": 3, "n_samples": 300, "finetune_epochs": 8},
+        "searches": [{"algorithm": "random", "n_evaluations": 400}],
+    }
+
+    def test_sigterm_releases_the_lease_and_exits_zero(self, tmp_path):
+        spec = CampaignSpec.from_dict(self.SPEC)
+        out = tmp_path / "fabric"
+        FabricCoordinator(spec, out).publish()
+        layout = FabricLayout(out)
+        worker = _start_worker(out, "stopped", lease_ttl="30")
+        journal = layout.worker_journal("stopped")
+        deadline = time.monotonic() + 120.0
+        try:
+            while time.monotonic() < deadline and worker.poll() is None:
+                events = [e["event"] for e in read_worker_events(journal)] if (
+                    journal.exists()
+                ) else []
+                if "job_started" in events:
+                    break
+                time.sleep(0.01)
+            else:
+                pytest.fail("fabric worker started no job within 120s")
+            time.sleep(0.2)
+            worker.send_signal(signal.SIGTERM)
+            assert worker.wait(timeout=60) == 0
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait(timeout=60)
+
+        job_id = "seeds-random-s0"
+        events = read_worker_events(journal)
+        assert "job_completed" not in [e["event"] for e in events]
+        assert events[-1]["event"] == "worker_stopped"
+        assert events[-1]["interrupted"] is True
+        assert list(layout.leases_dir.iterdir()) == []
+        # A second worker claims the job at once (no 30 s lease expiry).
+        assert FabricWorker(out, worker_id="second").step() == "completed"
+        reference = tmp_path / "reference"
+        assert CampaignRunner(spec, reference).run().ok
+        assert (out / "jobs" / job_id / "front.json").read_bytes() == (
+            reference / "jobs" / job_id / "front.json"
+        ).read_bytes()
+
+
 class TestFabricKillSmoke:
     """Real SIGKILL on a worker subprocess; coordinate finishes the grid."""
-
-    def _start_worker(self, out_dir, worker_id):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "campaign", "work",
-             "--out", str(out_dir), "--worker-id", worker_id,
-             "--lease-ttl", "2", "--poll-interval", "0.05", "--max-idle", "30"],
-            cwd=REPO_ROOT,
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
 
     def test_sigkilled_worker_campaign_is_byte_identical(self, tmp_path):
         spec_path = _write_spec(tmp_path)
@@ -152,7 +208,7 @@ class TestFabricKillSmoke:
         out = tmp_path / "fabric"
         FabricCoordinator(CampaignSpec.from_dict(json.loads(spec_path.read_text())),
                           out, lease_ttl=2.0).publish()
-        worker = self._start_worker(out, "victim")
+        worker = _start_worker(out, "victim")
         first_marker = out / "jobs" / JOB_IDS[0] / "result.json"
         deadline = time.monotonic() + 120.0
         try:

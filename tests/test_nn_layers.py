@@ -1,9 +1,9 @@
-"""Unit tests for repro.nn.layers: Dense hooks, gradients, Dropout, summaries."""
+"""Unit tests for repro.nn.layers: Dense hooks, activation layers, summaries."""
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import ActivationLayer, Dense, Dropout, layer_summary
+from repro.nn.layers import ActivationLayer, Dense, layer_summary
 
 
 @pytest.fixture
@@ -49,14 +49,6 @@ class TestDenseHooks:
         dense.mask = mask
         assert np.all(dense.effective_weights()[0, :] == 0.0)
 
-    def test_mask_blocks_gradient(self, dense):
-        mask = np.zeros_like(dense.weights)
-        dense.mask = mask
-        x = np.ones((2, 4))
-        dense.forward(x, training=True)
-        dense.backward(np.ones((2, 3)))
-        np.testing.assert_array_equal(dense.grad_weights, np.zeros_like(dense.weights))
-
     def test_quantizer_applied_in_forward(self, dense):
         dense.weight_quantizer = lambda w: np.zeros_like(w)
         dense.bias_quantizer = lambda b: np.zeros_like(b)
@@ -77,44 +69,6 @@ class TestDenseHooks:
         assert dense.sparsity() == pytest.approx(1.0 / 3.0)
 
 
-class TestDenseBackward:
-    def test_backward_requires_training_forward(self, dense):
-        with pytest.raises(RuntimeError):
-            dense.backward(np.ones((1, 3)))
-
-    def test_gradients_match_numerical(self):
-        layer = Dense(3, 2, rng=np.random.default_rng(5))
-        x = np.random.default_rng(6).normal(size=(4, 3))
-        grad_out = np.random.default_rng(7).normal(size=(4, 2))
-        layer.forward(x, training=True)
-        layer.backward(grad_out)
-
-        epsilon = 1e-6
-        numeric_w = np.zeros_like(layer.weights)
-        for i in range(layer.weights.shape[0]):
-            for j in range(layer.weights.shape[1]):
-                layer.weights[i, j] += epsilon
-                plus = np.sum(layer.forward(x) * grad_out)
-                layer.weights[i, j] -= 2 * epsilon
-                minus = np.sum(layer.forward(x) * grad_out)
-                layer.weights[i, j] += epsilon
-                numeric_w[i, j] = (plus - minus) / (2 * epsilon)
-        np.testing.assert_allclose(layer.grad_weights, numeric_w, atol=1e-5)
-
-    def test_input_gradient_shape(self, dense):
-        x = np.ones((6, 4))
-        dense.forward(x, training=True)
-        grad_in = dense.backward(np.ones((6, 3)))
-        assert grad_in.shape == (6, 4)
-
-    def test_bias_gradient_is_column_sum(self, dense):
-        x = np.random.default_rng(2).normal(size=(5, 4))
-        grad_out = np.random.default_rng(3).normal(size=(5, 3))
-        dense.forward(x, training=True)
-        dense.backward(grad_out)
-        np.testing.assert_allclose(dense.grad_bias, grad_out.sum(axis=0))
-
-
 class TestSetWeights:
     def test_set_weights_roundtrip(self, dense):
         new_weights = np.full_like(dense.weights, 0.5)
@@ -130,42 +84,11 @@ class TestSetWeights:
             dense.set_weights(np.zeros_like(dense.weights), np.zeros(99))
 
 
-class TestActivationLayerAndDropout:
+class TestActivationLayer:
     def test_activation_layer_from_string(self):
         layer = ActivationLayer("relu")
         out = layer.forward(np.array([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out, [[0.0, 2.0]])
-
-    def test_activation_backward_requires_forward(self):
-        with pytest.raises(RuntimeError):
-            ActivationLayer("relu").backward(np.ones((1, 2)))
-
-    def test_dropout_identity_at_inference(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((10, 10))
-        np.testing.assert_array_equal(layer.forward(x, training=False), x)
-
-    def test_dropout_scales_kept_units(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((2000, 1))
-        out = layer.forward(x, training=True)
-        kept = out[out > 0]
-        assert np.allclose(kept, 2.0)
-        # Roughly half the units survive.
-        assert 0.4 < kept.size / out.size < 0.6
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-        with pytest.raises(ValueError):
-            Dropout(-0.1)
-
-    def test_dropout_backward_uses_same_mask(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(1))
-        x = np.ones((50, 4))
-        out = layer.forward(x, training=True)
-        grad = layer.backward(np.ones_like(x))
-        np.testing.assert_array_equal(grad, out)
 
 
 class TestLayerSummary:
@@ -179,7 +102,3 @@ class TestLayerSummary:
     def test_activation_summary(self):
         info = layer_summary(ActivationLayer("tanh"))
         assert info == {"type": "ActivationLayer", "activation": "tanh"}
-
-    def test_dropout_summary(self):
-        info = layer_summary(Dropout(0.25))
-        assert info == {"type": "Dropout", "rate": 0.25}

@@ -1,131 +1,52 @@
-"""Unit tests for repro.nn.optimizers: convergence and state handling."""
+"""Unit tests for repro.nn.optimizers: convergence and state handling of StackedAdam."""
 
 import numpy as np
 import pytest
 
-from repro.nn.optimizers import SGD, Adam, RMSProp, available_optimizers, get_optimizer
-
-
-def quadratic_gradient(params):
-    """Gradient of f(p) = 0.5 * ||p - target||^2 with target = 3."""
-    return [p - 3.0 for p in params]
+from repro.nn.optimizers import StackedAdam
 
 
 def run_optimizer(optimizer, steps=300, start=10.0):
-    params = [np.array([start, -start])]
+    """Minimize f(p) = 0.5 * ||p - 3||^2 from ``(start, -start)``."""
+    params = np.array([[start, -start]])
     for _ in range(steps):
-        grads = quadratic_gradient(params)
-        optimizer.update(params, grads)
+        optimizer.update(params, params - 3.0)
     return params[0]
 
 
 class TestConvergence:
-    def test_sgd_converges_on_quadratic(self):
-        final = run_optimizer(SGD(learning_rate=0.1))
-        np.testing.assert_allclose(final, [3.0, 3.0], atol=1e-3)
-
-    def test_sgd_with_momentum_converges(self):
-        final = run_optimizer(SGD(learning_rate=0.05, momentum=0.9))
-        np.testing.assert_allclose(final, [3.0, 3.0], atol=1e-3)
-
-    def test_sgd_nesterov_converges(self):
-        final = run_optimizer(SGD(learning_rate=0.05, momentum=0.9, nesterov=True))
-        np.testing.assert_allclose(final, [3.0, 3.0], atol=1e-3)
-
     def test_adam_converges(self):
-        final = run_optimizer(Adam(learning_rate=0.1), steps=600)
+        final = run_optimizer(StackedAdam([0.1]), steps=2000)
         np.testing.assert_allclose(final, [3.0, 3.0], atol=1e-2)
-
-    def test_rmsprop_converges(self):
-        final = run_optimizer(RMSProp(learning_rate=0.05), steps=800)
-        np.testing.assert_allclose(final, [3.0, 3.0], atol=1e-2)
-
-    def test_momentum_faster_than_plain_sgd_on_ill_conditioned(self):
-        def elongated_gradient(params):
-            p = params[0]
-            return [np.array([0.02 * (p[0] - 1.0), 2.0 * (p[1] - 1.0)])]
-
-        def distance_after(optimizer, steps=200):
-            params = [np.array([10.0, 10.0])]
-            for _ in range(steps):
-                optimizer.update(params, elongated_gradient(params))
-            return np.linalg.norm(params[0] - 1.0)
-
-        plain = distance_after(SGD(learning_rate=0.3))
-        momentum = distance_after(SGD(learning_rate=0.3, momentum=0.9))
-        assert momentum < plain
-
-
-class TestWeightDecay:
-    def test_sgd_weight_decay_shrinks_weights(self):
-        params = [np.array([1.0])]
-        optimizer = SGD(learning_rate=0.1, weight_decay=0.5)
-        optimizer.update(params, [np.array([0.0])])
-        assert params[0][0] < 1.0
-
-    def test_adam_weight_decay_shrinks_weights(self):
-        params = [np.array([1.0])]
-        optimizer = Adam(learning_rate=0.1, weight_decay=0.5)
-        optimizer.update(params, [np.array([0.0])])
-        assert params[0][0] < 1.0
 
 
 class TestStateHandling:
     def test_updates_are_in_place(self):
-        params = [np.zeros(3)]
-        reference = params[0]
-        SGD(learning_rate=0.1).update(params, [np.ones(3)])
-        assert params[0] is reference
+        params = np.zeros((1, 3))
+        reference = params
+        StackedAdam([0.1]).update(params, np.ones((1, 3)))
+        assert params is reference
         assert np.all(reference != 0.0)
 
     def test_adam_bias_correction_first_step(self):
-        params = [np.array([0.0])]
-        optimizer = Adam(learning_rate=0.1)
-        optimizer.update(params, [np.array([1.0])])
+        params = np.array([[0.0]])
+        StackedAdam([0.1]).update(params, np.array([[1.0]]))
         # With bias correction the first step magnitude equals the lr.
-        assert params[0][0] == pytest.approx(-0.1, rel=1e-6)
-
-    def test_reset_state_clears_momentum(self):
-        optimizer = SGD(learning_rate=0.1, momentum=0.9)
-        params = [np.array([1.0])]
-        optimizer.update(params, [np.array([1.0])])
-        optimizer.reset_state()
-        assert optimizer._velocities == {}
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            SGD().update([np.zeros(2)], [])
+        assert params[0, 0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
-            SGD().update([np.zeros(2)], [np.zeros(3)])
+            StackedAdam([0.1]).update(np.zeros((1, 2)), np.zeros((1, 3)))
 
 
-class TestValidationAndRegistry:
+class TestValidation:
     @pytest.mark.parametrize("bad_lr", [0.0, -1.0])
     def test_invalid_learning_rate(self, bad_lr):
         with pytest.raises(ValueError):
-            SGD(learning_rate=bad_lr)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            SGD(momentum=1.0)
+            StackedAdam([bad_lr])
 
     def test_invalid_betas(self):
         with pytest.raises(ValueError):
-            Adam(beta1=1.0)
+            StackedAdam([0.1], beta1=1.0)
         with pytest.raises(ValueError):
-            Adam(beta2=-0.1)
-
-    def test_registry_contains_all(self):
-        assert set(available_optimizers()) == {"adam", "rmsprop", "sgd"}
-
-    def test_get_optimizer_with_kwargs(self):
-        optimizer = get_optimizer("sgd", learning_rate=0.5, momentum=0.8)
-        assert isinstance(optimizer, SGD)
-        assert optimizer.learning_rate == 0.5
-        assert optimizer.momentum == 0.8
-
-    def test_get_optimizer_unknown(self):
-        with pytest.raises(KeyError):
-            get_optimizer("lion")
+            StackedAdam([0.1], beta2=-0.1)

@@ -10,7 +10,7 @@ from repro.nn.serialization import load_model, save_model
 
 @pytest.fixture
 def model():
-    return build_mlp(5, (4,), 3, dropout=0.1, seed=0)
+    return build_mlp(5, (4,), 3, seed=0)
 
 
 class TestRoundTrip:
@@ -62,14 +62,26 @@ class TestErrors:
         from repro.nn.network import MLP
 
         class Custom(Layer):
-            def forward(self, inputs, training=False):
+            def forward(self, inputs):
                 return inputs
-
-            def backward(self, grad_output):
-                return grad_output
 
         with pytest.raises(TypeError):
             save_model(MLP([Custom()]), tmp_path / "custom.npz")
+
+    def test_legacy_dropout_entry_rejected(self, model, tmp_path):
+        # Files written while Dropout existed carry a "dropout" entry; the
+        # layer is gone, so loading names it instead of silently skipping it.
+        import json
+
+        path = save_model(model, tmp_path / "legacy.npz")
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        header = json.loads(bytes(arrays["__header__"].tobytes()).decode("utf-8"))
+        header["architecture"].insert(2, {"type": "dropout", "rate": 0.2})
+        arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="dropout"):
+            load_model(path)
 
     def test_quantizer_hooks_not_serialized(self, model, tmp_path):
         model.dense_layers[0].weight_quantizer = lambda w: w

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.nn.network import build_mlp
-from repro.nn.trainer import Trainer, TrainerConfig, TrainingHistory, finetune, train_classifier
+from repro.nn.stacked import StackedTrainer
+from repro.nn.trainer import TrainerConfig, TrainingHistory, finetune, train_classifier
+from repro.quantization import PowerOfTwoQuantizer, post_training_quantize
 
 
 @pytest.fixture
@@ -29,6 +31,20 @@ class TestTrainerConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainerConfig(**kwargs)
+
+    @pytest.mark.parametrize("patience", [0, -3])
+    def test_patience_below_one_rejected(self, patience):
+        # 0 and negative values would stop and decay exactly like 1.
+        with pytest.raises(ValueError, match="early_stopping_patience"):
+            TrainerConfig(early_stopping_patience=patience)
+
+    def test_negative_min_learning_rate_rejected(self):
+        # A negative floor would act exactly like 0.
+        with pytest.raises(ValueError, match="min_learning_rate"):
+            TrainerConfig(min_learning_rate=-1e-3)
+
+    def test_patience_none_and_zero_floor_accepted(self):
+        TrainerConfig(early_stopping_patience=None, min_learning_rate=0.0)
 
 
 class TestTrainingBehaviour:
@@ -68,15 +84,15 @@ class TestTrainingBehaviour:
         features, labels = problem
         model = build_mlp(4, (6,), 2, seed=0)
         config = TrainerConfig(epochs=500, early_stopping_patience=3)
-        trainer = Trainer(model, config=config, seed=0)
-        history = trainer.fit(features, labels)
+        trainer = StackedTrainer([model], 0.01, config=config, seeds=[0])
+        history = trainer.fit(features, labels)[0]
         assert history.epochs_run < 500
 
     def test_restore_best_weights(self, problem):
         features, labels = problem
         model = build_mlp(4, (6,), 2, seed=0)
         config = TrainerConfig(epochs=30, restore_best_weights=True, early_stopping_patience=None)
-        trainer = Trainer(model, config=config, seed=0)
+        trainer = StackedTrainer([model], 0.01, config=config, seeds=[0])
         trainer.fit(features[:80], labels[:80], features[80:], labels[80:])
         # After restoring, validation accuracy equals the best recorded value.
         final_val = model.evaluate_accuracy(features[80:], labels[80:])
@@ -84,9 +100,8 @@ class TestTrainingBehaviour:
 
     def test_mismatched_rows_rejected(self, problem):
         features, labels = problem
-        trainer = Trainer(build_mlp(4, (3,), 2, seed=0), seed=0)
         with pytest.raises(ValueError):
-            trainer.fit(features, labels[:-5])
+            train_classifier(build_mlp(4, (3,), 2, seed=0), features, labels[:-5], seed=0)
 
     def test_deterministic_given_seed(self, problem):
         features, labels = problem
@@ -98,12 +113,10 @@ class TestTrainingBehaviour:
 
         np.testing.assert_array_equal(run(), run())
 
-    def test_string_optimizer_and_loss_accepted(self, problem):
+    def test_invalid_learning_rate_rejected(self, problem):
         features, labels = problem
-        model = build_mlp(4, (4,), 2, seed=0)
-        trainer = Trainer(model, optimizer="sgd", loss="softmax_crossentropy", seed=0)
-        history = trainer.fit(features, labels)
-        assert history.epochs_run >= 1
+        with pytest.raises(ValueError, match="learning_rate"):
+            train_classifier(build_mlp(4, (3,), 2, seed=0), features, labels, learning_rate=0.0)
 
 
 class TestFinetune:
@@ -132,9 +145,57 @@ class TestFinetune:
         finetune(model, features, labels, epochs=5, seed=0)
         assert np.all(layer.effective_weights()[0, :] == 0.0)
 
+    def test_finetune_leaves_pruned_shadow_weights(self, problem):
+        # The mask also zeroes the weight gradient, so pruned shadow weights
+        # never move and a later unmasking cannot resurrect trained values.
+        features, labels = problem
+        model = build_mlp(4, (6,), 2, seed=0)
+        layer = model.dense_layers[0]
+        layer.mask = np.ones_like(layer.weights)
+        layer.mask[1, :] = 0.0
+        before = layer.weights.copy()
+        finetune(model, features, labels, epochs=5, learning_rate=0.05, seed=0)
+        assert layer.weights[1].tobytes() == before[1].tobytes()
+        assert not np.array_equal(layer.weights[0], before[0])
+
     def test_history_as_dict_keys(self, problem):
         features, labels = problem
         model = build_mlp(4, (3,), 2, seed=0)
         history = finetune(model, features, labels, epochs=3, seed=0)
         data = history.as_dict()
         assert set(data) == {"train_loss", "train_accuracy", "val_loss", "val_accuracy"}
+
+
+class TestUntrainableModels:
+    """Models outside ``supports_stacking`` are rejected, naming the cause."""
+
+    def test_frozen_scale_model_rejected(self, problem):
+        features, labels = problem
+        model = build_mlp(4, (6,), 2, seed=0)
+        frozen = post_training_quantize(model, 4).model
+        with pytest.raises(ValueError, match="frozen-scale"):
+            finetune(frozen, features, labels, epochs=2, seed=0)
+        with pytest.raises(ValueError, match="frozen-scale"):
+            train_classifier(frozen, features, labels, epochs=2, seed=0)
+
+    def test_power_of_two_hook_rejected(self, problem):
+        features, labels = problem
+        model = build_mlp(4, (6,), 2, seed=0)
+        model.dense_layers[1].weight_quantizer = PowerOfTwoQuantizer(bits=4)
+        with pytest.raises(ValueError, match="PowerOfTwoQuantizer"):
+            finetune(model, features, labels, epochs=2, seed=0)
+        with pytest.raises(ValueError, match="PowerOfTwoQuantizer"):
+            train_classifier(model, features, labels, epochs=2, seed=0)
+
+    def test_custom_layer_rejected(self, problem):
+        from repro.nn.layers import Layer
+
+        class Scale(Layer):
+            def forward(self, inputs):
+                return 2.0 * inputs
+
+        features, labels = problem
+        model = build_mlp(4, (6,), 2, seed=0)
+        model.layers.insert(1, Scale())
+        with pytest.raises(ValueError, match="Scale layer"):
+            train_classifier(model, features, labels, epochs=2, seed=0)

@@ -3,7 +3,8 @@
 The stacked trainer, the batched fixed-point simulator, the vectorized
 NSGA-II ranking and the Monte Carlo fault sampler each run a handful of
 numpy kernels over a population axis. Every one of them has a serial
-counterpart that defines the result: the per-model quantizer and Adam loop,
+counterpart that defines the result: the per-model training loop in
+``tests/oracles.py`` (per-step quantizer calls, per-array Adam),
 ``FixedPointSimulator.simulate_batch``, the reference non-dominated sort and
 crowding distance, and per-trial draw sampling. The tests below pin each
 kernel to its oracle byte for byte (float kernels) or exactly (integer and
@@ -17,14 +18,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import adam_reference, train_reference
 
 from repro.bespoke import BespokeConfig, FixedPointSimulator, population_accuracy
 from repro.bespoke.simulator import simulate_population
 from repro.hardware.fixed_point import max_symmetric_level
 from repro.nn.network import build_mlp
-from repro.nn.optimizers import Adam, StackedAdam, adam_step
-from repro.nn.stacked import finetune_stacked, predict_stacked, quantize_into
-from repro.nn.trainer import finetune
+from repro.nn.optimizers import StackedAdam, adam_step
+from repro.nn.stacked import TrainerConfig, finetune_stacked, predict_stacked, quantize_into
 from repro.pruning.magnitude import prune_by_magnitude
 from repro.quantization.qat import attach_quantizers
 from repro.quantization.quantizers import SymmetricQuantizer
@@ -136,15 +137,6 @@ class TestQuantizeInto:
 # -- Adam ------------------------------------------------------------------------------
 
 
-def _legacy_adam(params, grads, m, v, lr, beta1, beta2, epsilon, t):
-    """The per-array Adam expression the fused step must reproduce bit for bit."""
-    m = beta1 * m + (1.0 - beta1) * grads
-    v = beta2 * v + (1.0 - beta2) * (grads * grads)
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + epsilon), m, v
-
-
 def _adam_inputs(seed, shape):
     rng = np.random.default_rng(seed)
     params, grads, m = (rng.standard_normal(shape) for _ in range(3))
@@ -165,7 +157,7 @@ class TestAdamStep:
     def test_matches_the_legacy_expression(self, t):
         params, grads, m, v = _adam_inputs(t, (3, 20))
         fused = _fused(params, grads, m, v, 0.003, 0.9, 0.999, 1e-8, t)
-        legacy = _legacy_adam(params, grads, m, v, 0.003, 0.9, 0.999, 1e-8, t)
+        legacy = adam_reference(params, grads, m, v, 0.003, 0.9, 0.999, 1e-8, t)
         for ours, theirs in zip(fused, legacy):
             assert ours.tobytes() == theirs.tobytes()
 
@@ -177,7 +169,7 @@ class TestAdamStep:
     ):
         params, grads, m, v = _adam_inputs(11, (2, 15))
         fused = _fused(params, grads, m, v, 0.01, beta1, beta2, epsilon, 3)
-        legacy = _legacy_adam(params, grads, m, v, 0.01, beta1, beta2, epsilon, 3)
+        legacy = adam_reference(params, grads, m, v, 0.01, beta1, beta2, epsilon, 3)
         for ours, theirs in zip(fused, legacy):
             assert ours.tobytes() == theirs.tobytes()
 
@@ -225,33 +217,22 @@ def _parameter_sets(seed):
 
 
 class TestAdamPaths:
-    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-    @pytest.mark.parametrize("n_steps", [1, 7])
-    def test_fused_and_legacy_trajectories_identical(self, weight_decay, n_steps):
-        fused_params, legacy_params = _parameter_sets(40), _parameter_sets(40)
-        fused = Adam(0.01, weight_decay=weight_decay)
-        legacy = Adam(0.01, weight_decay=weight_decay, fused=False)
-        rng = np.random.default_rng(41)
-        for _ in range(n_steps):
-            grads = [rng.standard_normal(p.shape) for p in fused_params]
-            fused.update(fused_params, grads)
-            legacy.update(legacy_params, grads)
-        for a, b in zip(fused_params, legacy_params):
-            assert a.tobytes() == b.tobytes()
-
     @pytest.mark.parametrize("n_steps", [1, 5, 20])
     def test_stacked_rows_follow_single_model_adam(self, n_steps):
         rates = [0.001, 0.004, 0.02]
         rng = np.random.default_rng(50 + n_steps)
         stack = rng.standard_normal((3, 17))
         singles = [row.copy() for row in stack]
-        optimizers = [Adam(rate) for rate in rates]
+        moments = [(np.zeros(17), np.zeros(17)) for _ in rates]
         stacked = StackedAdam(rates)
-        for _ in range(n_steps):
+        for step in range(1, n_steps + 1):
             grads = rng.standard_normal(stack.shape)
             stacked.update(stack, grads)
-            for row, optimizer, grad in zip(singles, optimizers, grads):
-                optimizer.update([row], [grad.copy()])
+            for index, rate in enumerate(rates):
+                singles[index], m, v = adam_reference(
+                    singles[index], grads[index], *moments[index], rate, 0.9, 0.999, 1e-8, step
+                )
+                moments[index] = (m, v)
         for index, row in enumerate(singles):
             assert stack[index].tobytes() == row.tobytes()
 
@@ -534,8 +515,12 @@ class TestStackedKernels:
         y = generator.integers(0, 3, size=120)
         seeds = [21, 22, 23]
         serial = _quantized_population()
+        # finetune's schedule: patience max(3, epochs // 3).
+        config = TrainerConfig(epochs=3, batch_size=32, early_stopping_patience=3)
         for model, seed in zip(serial, seeds):
-            finetune(model, x, y, epochs=3, learning_rate=learning_rate, seed=seed)
+            train_reference(
+                model, x, y, learning_rate=learning_rate, config=config, seed=seed
+            )
         stacked = _quantized_population()
         finetune_stacked(stacked, x, y, epochs=3, learning_rate=learning_rate, seeds=seeds)
         for a, b in zip(serial, stacked):

@@ -1,7 +1,7 @@
 """Bit-identity property tests for the PR-2 fast paths.
 
-The perf overhaul (memoized hardware-cost kernels, cost-only synthesis, the
-fused QAT training step and the fused Adam) must be *invisible* numerically:
+The perf overhaul (memoized hardware-cost kernels, cost-only synthesis and
+the quantizer fast path) must be *invisible* numerically:
 every fast path has a reference implementation — either the pre-refactor
 algorithm reimplemented here verbatim, or the shipped slow path — and these
 tests assert exact float equality between the two.
@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from strategies import operand_width_lists, rng_seeds, weight_tensors
+from strategies import operand_width_lists, weight_tensors
 
 from repro.bespoke import BespokeConfig, synthesize, synthesize_cost_only
 from repro.clustering import cluster_model_weights
@@ -35,8 +35,6 @@ from repro.hardware.csd import (
 )
 from repro.hardware.technology import silicon_library
 from repro.nn.network import build_mlp
-from repro.nn.optimizers import Adam
-from repro.nn.trainer import Trainer, TrainerConfig
 from repro.pruning import prune_by_magnitude
 from repro.quantization import SymmetricQuantizer, attach_quantizers
 from repro.search import (
@@ -288,166 +286,6 @@ class TestQuantizerFastPath:
         quantizer = SymmetricQuantizer(bits=4)
         assert quantizer(np.zeros((3, 3))).tobytes() == np.zeros((3, 3)).tobytes()
         assert quantizer(np.zeros((0,))).size == 0
-
-
-class TestFusedAdam:
-    """Fused flat-buffer Adam == the per-parameter legacy loop."""
-
-    @staticmethod
-    def _random_params(rng, shapes):
-        return [rng.normal(size=shape) for shape in shapes]
-
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    @given(seed=rng_seeds)
-    @settings(max_examples=15, deadline=None)
-    def test_trajectories_identical(self, weight_decay, seed):
-        """Property: fused and legacy Adam walk bitwise-identical trajectories
-        for any gradient stream (hypothesis drives the stream seed)."""
-        rng = np.random.default_rng(seed)
-        shapes = [(7, 5), (5,), (5, 3), (3,)]
-        params_fused = self._random_params(rng, shapes)
-        params_legacy = [p.copy() for p in params_fused]
-        fused = Adam(learning_rate=0.01, weight_decay=weight_decay)
-        legacy = Adam(learning_rate=0.01, weight_decay=weight_decay, fused=False)
-        for _ in range(10):
-            grads = self._random_params(rng, shapes)
-            fused.update(params_fused, grads)
-            legacy.update(params_legacy, [g.copy() for g in grads])
-            for a, b in zip(params_fused, params_legacy):
-                assert a.tobytes() == b.tobytes()
-
-    def test_fresh_parameters_never_inherit_stale_moments(self, rng):
-        """A brand-new parameter list must start at step 1 even if object ids
-        of freed arrays get recycled (the flat state holds its arrays alive
-        and matches by identity, not id)."""
-        optimizer = Adam(learning_rate=0.01)
-        params = [rng.normal(size=(5, 5))]
-        for _ in range(3):
-            optimizer.update(params, [rng.normal(size=(5, 5))])
-        assert optimizer._flat["t"] == 3
-        del params
-        fresh = [np.zeros((5, 5))]
-        reference = [np.zeros((5, 5))]
-        legacy = Adam(learning_rate=0.01, fused=False)
-        grad = rng.normal(size=(5, 5))
-        optimizer.update(fresh, [grad])
-        legacy.update(reference, [grad.copy()])
-        assert fresh[0].tobytes() == reference[0].tobytes()
-
-    def test_parameter_list_change_defuses_cleanly(self, rng):
-        shapes = [(4, 3), (3,)]
-        params_fused = self._random_params(rng, shapes)
-        params_legacy = [p.copy() for p in params_fused]
-        fused = Adam(learning_rate=0.05)
-        legacy = Adam(learning_rate=0.05, fused=False)
-        for _ in range(5):
-            grads = self._random_params(rng, shapes)
-            fused.update(params_fused, grads)
-            legacy.update(params_legacy, [g.copy() for g in grads])
-        # Continue with only the first parameter: moments must carry over.
-        for _ in range(5):
-            grad = rng.normal(size=shapes[0])
-            fused.update(params_fused[:1], [grad])
-            legacy.update(params_legacy[:1], [grad.copy()])
-        for a, b in zip(params_fused, params_legacy):
-            assert a.tobytes() == b.tobytes()
-
-    def test_validation_still_raises(self, rng):
-        optimizer = Adam()
-        with pytest.raises(ValueError):
-            optimizer.update([np.zeros(3)], [np.zeros(3), np.zeros(2)])
-        with pytest.raises(ValueError):
-            optimizer.update([np.zeros(3)], [np.zeros(2)])
-
-
-class TestTrainerFastPath:
-    """(iii) fused QAT training step == the layerwise reference trajectory."""
-
-    @staticmethod
-    def _problem(rng, n_features=9, n_classes=5, n=220):
-        x = rng.normal(size=(n, n_features))
-        y = rng.integers(0, n_classes, size=n)
-        return x, y
-
-    def _fit(self, model, fast, x, y, xv, yv, epochs=8):
-        trainer = Trainer(
-            model,
-            optimizer=Adam(learning_rate=0.003, fused=fast),
-            config=TrainerConfig(epochs=epochs, batch_size=32, early_stopping_patience=4),
-            seed=11,
-            fast_path=fast,
-        )
-        return trainer.fit(x, y, xv, yv)
-
-    def test_masked_quantized_model_identical(self, rng):
-        x, y = self._problem(rng)
-        xv, yv = self._problem(rng, n=60)
-
-        def make():
-            model = build_mlp(9, [16], 5, seed=3)
-            prune_by_magnitude(model, [0.4, 0.2], global_ranking=False)
-            attach_quantizers(model, [4, 5])
-            return model
-
-        fast_model, ref_model = make(), make()
-        fast_history = self._fit(fast_model, True, x, y, xv, yv)
-        ref_history = self._fit(ref_model, False, x, y, xv, yv)
-        assert fast_history.as_dict() == ref_history.as_dict()
-        for fast_layer, ref_layer in zip(fast_model.dense_layers, ref_model.dense_layers):
-            assert fast_layer.weights.tobytes() == ref_layer.weights.tobytes()
-            assert fast_layer.bias.tobytes() == ref_layer.bias.tobytes()
-
-    def test_plain_float_model_identical(self, rng):
-        x, y = self._problem(rng)
-        fast_model = build_mlp(9, [12], 5, seed=1)
-        ref_model = build_mlp(9, [12], 5, seed=1)
-        fast_history = self._fit(fast_model, True, x, y, None, None, epochs=5)
-        ref_history = self._fit(ref_model, False, x, y, None, None, epochs=5)
-        assert fast_history.as_dict() == ref_history.as_dict()
-        for fast_layer, ref_layer in zip(fast_model.dense_layers, ref_model.dense_layers):
-            assert fast_layer.weights.tobytes() == ref_layer.weights.tobytes()
-
-    def test_leading_activation_layer_identical(self, rng):
-        """A model whose first layer is an activation must still propagate the
-        gradient to it (the dead-gradient skip applies only to the model's
-        literal first layer)."""
-        from repro.nn.layers import ActivationLayer, Dense
-        from repro.nn.network import MLP
-
-        x, y = self._problem(rng, n_features=6, n_classes=3)
-
-        def make():
-            model = MLP()
-            model.add(ActivationLayer("relu"))
-            layer_rng = np.random.default_rng(5)
-            model.add(Dense(6, 8, rng=layer_rng))
-            model.add(ActivationLayer("relu"))
-            model.add(Dense(8, 3, rng=layer_rng))
-            return model
-
-        fast_model, ref_model = make(), make()
-        fast_history = self._fit(fast_model, True, x, y, None, None, epochs=3)
-        ref_history = self._fit(ref_model, False, x, y, None, None, epochs=3)
-        assert fast_history.as_dict() == ref_history.as_dict()
-        for fast_layer, ref_layer in zip(fast_model.dense_layers, ref_model.dense_layers):
-            assert fast_layer.weights.tobytes() == ref_layer.weights.tobytes()
-
-    def test_dropout_model_falls_back_to_reference_loop(self):
-        model = build_mlp(6, [8], 3, dropout=0.2, seed=0)
-        trainer = Trainer(model, seed=0)
-        assert not trainer._supports_fused_epoch()
-
-    def test_effective_cache_disabled_after_fit(self, rng):
-        x, y = self._problem(rng)
-        model = build_mlp(9, [8], 5, seed=0)
-        attach_quantizers(model, 4)
-        self._fit(model, True, x, y, None, None, epochs=2)
-        layer = model.dense_layers[0]
-        assert not layer._effective_cache_enabled
-        # Mutating weights outside training must be reflected immediately.
-        before = layer.effective_weights().copy()
-        layer.weights = layer.weights + 1.0
-        assert not np.array_equal(layer.effective_weights(), before)
 
 
 class TestSerialParallelStillIdentical:

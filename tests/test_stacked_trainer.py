@@ -1,21 +1,24 @@
 """Bit-identity tests of the stacked population trainer.
 
 The stacked trainer's contract is that genome ``g`` of a stack evolves
-through exactly the float operations the serial fast path would apply to it
-alone. These tests train the same populations both ways and assert byte
-equality of the resulting weights and the full training histories — for
-mixed bit-widths, mixed pruning masks, per-genome seeds, and populations
-whose genomes early-stop at different epochs (exercising stack compaction).
+through exactly the float operations a one-model run applies to it alone,
+and that a one-model run takes the float steps of the plain per-batch loop
+in ``tests/oracles.py``. These tests train the same populations both ways
+and assert byte equality of the resulting weights and the full training
+histories — for mixed bit-widths, mixed pruning masks, per-genome seeds,
+and populations whose genomes early-stop at different epochs (exercising
+stack compaction).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import adam_reference, gradients_reference, train_reference
 
-from repro.nn.layers import Dropout
-from repro.nn.network import build_mlp
-from repro.nn.optimizers import Adam, StackedAdam
+from repro.nn.layers import ActivationLayer, Dense, Layer
+from repro.nn.network import MLP, build_mlp
+from repro.nn.optimizers import StackedAdam
 from repro.nn.stacked import (
     StackedTrainer,
     finetune_stacked,
@@ -47,16 +50,19 @@ def _population(n_features=9, n_classes=4, specs=None):
     return models
 
 
-def _assert_identical(serial_models, stacked_models, serial_hist, stacked_hist):
-    for index, (a, b) in enumerate(zip(serial_models, stacked_models)):
+def _assert_identical(reference_models, stacked_models, reference_hist, stacked_hist):
+    assert len(reference_models) == len(stacked_models)
+    for index, (a, b) in enumerate(zip(reference_models, stacked_models)):
         for la, lb in zip(a.dense_layers, b.dense_layers):
             assert la.weights.tobytes() == lb.weights.tobytes(), f"weights {index}"
             assert la.bias.tobytes() == lb.bias.tobytes(), f"bias {index}"
-    for index, (ha, hb) in enumerate(zip(serial_hist, stacked_hist)):
+    for index, (ha, hb) in enumerate(zip(reference_hist, stacked_hist)):
         assert ha.as_dict() == hb.as_dict(), f"history {index}"
 
 
 class TestStackedFinetuneBitIdentity:
+    """A stacked population == one one-model ``finetune`` per genome."""
+
     def test_quantized_masked_population(self, rng):
         x, y = _problem(rng)
         xv, yv = _problem(rng, n=70)
@@ -107,7 +113,8 @@ class TestStackedFinetuneBitIdentity:
         _assert_identical(serial, stacked, serial_hist, stacked_hist)
 
     def test_unquantized_population(self, rng):
-        """Plain float fine-tuning (no quantizers) also stacks bit-identically."""
+        """Plain float fine-tuning (no quantizers, no fake-quantization pass)
+        also stacks bit-identically."""
         x, y = _problem(rng)
         seeds = [1, 2, 3]
         serial = [build_mlp(9, [8], 4, seed=i) for i in range(3)]
@@ -146,10 +153,16 @@ class TestSupportsStacking:
         b = build_mlp(6, [9], 3, seed=0)
         assert not supports_stacking([a, b])
 
-    def test_rejects_dropout(self):
-        model = build_mlp(6, [8], 3, dropout=0.2, seed=0)
+    def test_rejects_custom_layers(self):
+        class Scale(Layer):
+            def forward(self, inputs):
+                return 2.0 * inputs
+
+        model = build_mlp(6, [8], 3, seed=0)
+        model.layers.insert(2, Scale())
         assert not supports_stacking([model])
-        assert isinstance(model.layers[2], Dropout)
+        with pytest.raises(ValueError, match="Scale layer"):
+            StackedTrainer([model], learning_rate=0.01)
 
     def test_rejects_mixed_quantizer_patterns(self):
         a = build_mlp(6, [8], 3, seed=0)
@@ -166,26 +179,29 @@ class TestSupportsStacking:
     def test_constructor_raises_for_unstackable(self):
         a = build_mlp(6, [8], 3, seed=0)
         b = build_mlp(6, [9], 3, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different architecture"):
             StackedTrainer([a, b], learning_rate=0.01)
 
 
 class TestStackedAdam:
     def test_matches_per_model_adam(self, rng):
-        """Each row of the stacked update == an independent fused Adam."""
+        """Each row of the stacked update == the per-array Adam expression."""
         n_models, size = 4, 23
         stacked_params = rng.normal(size=(n_models, size))
-        serial_params = [stacked_params[i].copy() for i in range(n_models)]
+        rows = [stacked_params[i].copy() for i in range(n_models)]
+        moments = [(np.zeros(size), np.zeros(size)) for _ in range(n_models)]
         rates = [0.01, 0.003, 0.02, 0.001]
         stacked = StackedAdam(rates)
-        serials = [Adam(learning_rate=rate) for rate in rates]
-        for _ in range(20):
+        for step in range(1, 21):
             grads = rng.normal(size=(n_models, size))
             stacked.update(stacked_params, grads)
-            for index, adam in enumerate(serials):
-                adam.update([serial_params[index]], [grads[index].copy()])
+            for index, rate in enumerate(rates):
+                rows[index], m, v = adam_reference(
+                    rows[index], grads[index], *moments[index], rate, 0.9, 0.999, 1e-8, step
+                )
+                moments[index] = (m, v)
         for index in range(n_models):
-            assert stacked_params[index].tobytes() == serial_params[index].tobytes()
+            assert stacked_params[index].tobytes() == rows[index].tobytes()
 
     def test_compact_preserves_survivor_rows(self, rng):
         params = rng.normal(size=(3, 7))
@@ -224,20 +240,119 @@ class TestTrainerConfigInteractions:
         config = TrainerConfig(
             epochs=6, batch_size=32, early_stopping_patience=3, monitor="val_loss"
         )
-        from repro.nn.trainer import Trainer
-
         seeds = [41, 42, 43, 44, 45]
         serial = _population()
-        serial_hist = []
-        for model, seed in zip(serial, seeds):
-            trainer = Trainer(
-                model,
-                optimizer=Adam(learning_rate=0.003),
-                config=config,
-                seed=seed,
-            )
-            serial_hist.append(trainer.fit(x, y, xv, yv))
+        serial_hist = [
+            StackedTrainer([model], 0.003, config=config, seeds=[seed]).fit(x, y, xv, yv)[0]
+            for model, seed in zip(serial, seeds)
+        ]
         stacked = _population()
         trainer = StackedTrainer(stacked, 0.003, config=config, seeds=seeds)
         stacked_hist = trainer.fit(x, y, xv, yv)
         _assert_identical(serial, stacked, serial_hist, stacked_hist)
+
+
+def _leading_activation_model():
+    model = MLP()
+    model.add(ActivationLayer("relu"))
+    layer_rng = np.random.default_rng(5)
+    model.add(Dense(9, 8, rng=layer_rng))
+    model.add(ActivationLayer("relu"))
+    model.add(Dense(8, 4, rng=layer_rng))
+    return model
+
+
+class TestAgainstReferenceLoop:
+    """The stacked loop == one model, one batch and one array at a time."""
+
+    SPECS = [(2, True, 0), (5, False, 1), (8, True, 2)]
+
+    def _compare(self, make_models, x, y, xv, yv, config, learning_rate, seeds):
+        reference = make_models()
+        reference_hist = [
+            train_reference(
+                model, x, y, xv, yv, learning_rate=learning_rate, config=config, seed=seed
+            )
+            for model, seed in zip(reference, seeds)
+        ]
+        stacked = make_models()
+        trainer = StackedTrainer(stacked, learning_rate, config=config, seeds=seeds)
+        stacked_hist = trainer.fit(x, y, xv, yv)
+        _assert_identical(reference, stacked, reference_hist, stacked_hist)
+        return stacked_hist
+
+    @pytest.mark.parametrize("n_models", [1, 3])
+    @pytest.mark.parametrize("with_validation", [True, False])
+    def test_quantized_masked_models(self, rng, n_models, with_validation):
+        x, y = _problem(rng)
+        xv, yv = _problem(rng, n=70) if with_validation else (None, None)
+        config = TrainerConfig(epochs=6, batch_size=32, early_stopping_patience=3)
+        self._compare(
+            lambda: _population(specs=self.SPECS[:n_models]),
+            x, y, xv, yv, config, 0.003, [31, 32, 33][:n_models],
+        )
+
+    @pytest.mark.parametrize("n_models", [1, 3])
+    @pytest.mark.parametrize("with_validation", [True, False])
+    def test_heterogeneous_early_stopping(self, rng, n_models, with_validation):
+        x, y = _problem(rng, n=300)
+        xv, yv = _problem(rng, n=80) if with_validation else (None, None)
+        config = TrainerConfig(epochs=30, batch_size=32, early_stopping_patience=4)
+        specs = [(3, True, 7), (6, False, 8), (4, True, 9)][:n_models]
+        histories = self._compare(
+            lambda: _population(specs=specs),
+            x, y, xv, yv, config, 0.01, [51, 52, 53][:n_models],
+        )
+        assert all(h.epochs_run < 30 for h in histories)
+        if n_models > 1:
+            assert len({h.epochs_run for h in histories}) > 1
+
+    @pytest.mark.parametrize("n_models", [1, 3])
+    def test_float_models(self, rng, n_models):
+        x, y = _problem(rng)
+        xv, yv = _problem(rng, n=60)
+        config = TrainerConfig(epochs=5, batch_size=16, early_stopping_patience=None)
+        self._compare(
+            lambda: [build_mlp(9, [8], 4, seed=i) for i in range(n_models)],
+            x, y, xv, yv, config, 0.01, [61, 62, 63][:n_models],
+        )
+
+    def test_leading_activation_layer(self, rng):
+        """The dead-gradient skip applies only to the model's literal first
+        layer: a Dense after a leading activation still propagates."""
+        x, y = _problem(rng)
+        config = TrainerConfig(epochs=3, batch_size=32)
+        self._compare(lambda: [_leading_activation_model()], x, y, None, None, config, 0.003, [4])
+
+    def test_monitor_val_loss_and_decay(self, rng):
+        x, y = _problem(rng)
+        xv, yv = _problem(rng, n=60)
+        config = TrainerConfig(
+            epochs=12, batch_size=64, early_stopping_patience=4, monitor="val_loss",
+            lr_decay_factor=0.1, min_learning_rate=5e-3,
+        )
+        self._compare(
+            lambda: _population(specs=self.SPECS), x, y, xv, yv, config, 0.01, [71, 72, 73]
+        )
+
+
+class TestReferenceGradients:
+    def test_gradients_match_numerical(self, rng):
+        """The oracle's backward pass is the gradient of its loss."""
+        model = build_mlp(3, [4], 2, seed=5)
+        x = rng.normal(size=(6, 3))
+        targets = np.eye(2)[rng.integers(0, 2, size=6)]
+        _, gradients = gradients_reference(model, x, targets)
+        epsilon = 1e-6
+        slots = [(layer, name) for layer in model.dense_layers for name in ("weights", "bias")]
+        for (layer, name), grad in zip(slots, gradients):
+            array = getattr(layer, name)
+            numeric = np.zeros_like(array)
+            for index in np.ndindex(array.shape):
+                array[index] += epsilon
+                plus = gradients_reference(model, x, targets)[0]
+                array[index] -= 2 * epsilon
+                minus = gradients_reference(model, x, targets)[0]
+                array[index] += epsilon
+                numeric[index] = (plus - minus) / (2 * epsilon)
+            np.testing.assert_allclose(grad, numeric, atol=1e-6)
