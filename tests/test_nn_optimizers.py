@@ -38,12 +38,51 @@ class TestStateHandling:
         with pytest.raises(ValueError):
             StackedAdam([0.1]).update(np.zeros((1, 2)), np.zeros((1, 3)))
 
+    def test_one_dimensional_stack_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            StackedAdam([0.1]).update(np.zeros(3), np.zeros(3))
+
+    def test_row_count_must_match_learning_rates(self):
+        with pytest.raises(ValueError, match="3 rows but 2 learning rates"):
+            StackedAdam([0.1, 0.2]).update(np.zeros((3, 4)), np.zeros((3, 4)))
+
+    def test_step_counter_advances_per_update(self):
+        optimizer = StackedAdam([0.1])
+        params = np.zeros((1, 2))
+        for _ in range(3):
+            optimizer.update(params, np.ones((1, 2)))
+        assert optimizer.t == 3
+
+    def test_rows_follow_their_own_learning_rates(self):
+        params = np.zeros((2, 3))
+        StackedAdam([0.1, 0.01]).update(params, np.ones((2, 3)))
+        np.testing.assert_allclose(params[0], -0.1, rtol=1e-6)
+        np.testing.assert_allclose(params[1], -0.01, rtol=1e-6)
+
+    def test_compact_keeps_surviving_rates(self):
+        optimizer = StackedAdam([0.1, 0.2, 0.3])
+        optimizer.update(np.zeros((3, 2)), np.ones((3, 2)))
+        optimizer.compact(np.array([0, 2]))
+        np.testing.assert_array_equal(optimizer.learning_rates[:, 0], [0.1, 0.3])
+        params = np.zeros((2, 2))
+        optimizer.update(params, np.ones((2, 2)))
+        assert optimizer.t == 2
+
 
 class TestValidation:
     @pytest.mark.parametrize("bad_lr", [0.0, -1.0])
     def test_invalid_learning_rate(self, bad_lr):
         with pytest.raises(ValueError):
             StackedAdam([bad_lr])
+
+    def test_empty_learning_rates_rejected(self):
+        with pytest.raises(ValueError):
+            StackedAdam([])
+
+    @pytest.mark.parametrize("bad_epsilon", [0.0, -1e-8])
+    def test_invalid_epsilon(self, bad_epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            StackedAdam([0.1], epsilon=bad_epsilon)
 
     def test_invalid_betas(self):
         with pytest.raises(ValueError):

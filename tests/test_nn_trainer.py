@@ -166,6 +166,38 @@ class TestFinetune:
         assert set(data) == {"train_loss", "train_accuracy", "val_loss", "val_accuracy"}
 
 
+class TestTrainingHistory:
+    def test_epochs_run_counts_train_losses(self):
+        assert TrainingHistory().epochs_run == 0
+        assert TrainingHistory(train_loss=[0.9, 0.7, 0.6]).epochs_run == 3
+
+    def test_best_val_accuracy_is_the_maximum(self):
+        history = TrainingHistory(val_accuracy=[0.5, 0.8, 0.75])
+        assert history.best_val_accuracy == 0.8
+
+    def test_best_val_accuracy_is_nan_without_validation(self):
+        assert np.isnan(TrainingHistory().best_val_accuracy)
+
+    def test_as_dict_returns_copies(self):
+        history = TrainingHistory(train_loss=[1.0], val_accuracy=[0.5])
+        data = history.as_dict()
+        data["train_loss"].append(2.0)
+        data["val_accuracy"][0] = 0.0
+        assert history.train_loss == [1.0]
+        assert history.val_accuracy == [0.5]
+
+    def test_early_stopped_run_has_aligned_series(self, problem):
+        features, labels = problem
+        model = build_mlp(4, (3,), 2, seed=0)
+        config = TrainerConfig(epochs=60, batch_size=16, early_stopping_patience=2)
+        history = StackedTrainer([model], 0.05, config=config, seeds=[0]).fit(
+            features, labels, features, labels
+        )[0]
+        assert 1 <= history.epochs_run < 60
+        for series in history.as_dict().values():
+            assert len(series) == history.epochs_run
+
+
 class TestUntrainableModels:
     """Models outside ``supports_stacking`` are rejected, naming the cause."""
 

@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 from oracles import adam_reference, gradients_reference, train_reference
 
+from repro.nn.activations import Softmax
 from repro.nn.layers import ActivationLayer, Dense, Layer
 from repro.nn.network import MLP, build_mlp
 from repro.nn.optimizers import StackedAdam
 from repro.nn.stacked import (
     StackedTrainer,
+    _softmax_cross_entropy_rows,
     finetune_stacked,
     predict_stacked,
     supports_stacking,
@@ -356,3 +358,167 @@ class TestReferenceGradients:
                 array[index] += epsilon
                 numeric[index] = (plus - minus) / (2 * epsilon)
             np.testing.assert_allclose(grad, numeric, atol=1e-6)
+
+
+def _one_hot_targets(labels, n_classes):
+    return np.eye(n_classes)[labels]
+
+
+class TestTrainingLoss:
+    """The softmax cross-entropy both the epoch loop and validation use."""
+
+    def test_perfect_prediction_is_near_zero(self):
+        targets = np.eye(3)[None]
+        scores = 50.0 * targets
+        assert _softmax_cross_entropy_rows(scores, targets)[0] < 1e-12
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 7])
+    def test_uniform_prediction_is_log_classes(self, n_classes):
+        targets = np.eye(n_classes)[None]
+        scores = np.zeros((1, n_classes, n_classes))
+        loss = _softmax_cross_entropy_rows(scores, targets)
+        np.testing.assert_allclose(loss, [np.log(n_classes)], rtol=1e-12)
+
+    def test_matches_softmax_activation_composition(self, rng):
+        scores = rng.normal(size=(1, 8, 5))
+        targets = _one_hot_targets(rng.integers(0, 5, size=8), 5)[None]
+        probs = Softmax().forward(scores)
+        expected = np.mean(-np.sum(targets * np.log(probs), axis=-1), axis=-1)
+        np.testing.assert_allclose(
+            _softmax_cross_entropy_rows(scores, targets), expected, rtol=1e-12
+        )
+
+    def test_large_logits_stay_finite(self):
+        scores = np.array([[[1000.0, -1000.0], [-1000.0, 1000.0]]])
+        wrong = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+        loss = _softmax_cross_entropy_rows(scores, wrong)
+        assert np.isfinite(loss).all()
+        # Probabilities are clipped at 1e-12, so a confident miss costs -log(1e-12).
+        np.testing.assert_allclose(loss, [-np.log(1e-12)], rtol=1e-12)
+
+    def test_rows_are_independent_genomes(self, rng):
+        scores = rng.normal(size=(3, 10, 4))
+        targets = np.broadcast_to(_one_hot_targets(rng.integers(0, 4, size=10), 4), (3, 10, 4))
+        stacked = _softmax_cross_entropy_rows(scores, targets)
+        for row in range(3):
+            alone = _softmax_cross_entropy_rows(scores[row : row + 1], targets[row : row + 1])
+            assert stacked[row] == alone[0]
+
+    @pytest.mark.parametrize("n_models", [1, 3])
+    def test_first_epoch_train_loss_is_the_initial_loss(self, rng, n_models):
+        """With one batch per epoch, epoch 1's loss is taken before any update."""
+        x, y = _problem(rng, n=40)
+        models = [build_mlp(9, [6], 4, seed=i) for i in range(n_models)]
+        initial = [
+            _softmax_cross_entropy_rows(model.forward(x)[None], _one_hot_targets(y, 4)[None])[0]
+            for model in models
+        ]
+        config = TrainerConfig(epochs=1, batch_size=40, early_stopping_patience=None)
+        histories = StackedTrainer(models, 0.01, config=config).fit(x, y)
+        for history, loss in zip(histories, initial):
+            np.testing.assert_allclose(history.train_loss, [loss], rtol=1e-12)
+
+    def test_history_describes_the_written_back_weights(self, rng):
+        x, y = _problem(rng, n=120)
+        xv, yv = _problem(rng, n=50)
+        models = _population(specs=[(4, True, 0), (6, False, 1)])
+        config = TrainerConfig(
+            epochs=4, batch_size=32, early_stopping_patience=None, restore_best_weights=False
+        )
+        histories = StackedTrainer(models, 0.01, config=config, seeds=[1, 2]).fit(x, y, xv, yv)
+        for model, history in zip(models, histories):
+            val_loss = _softmax_cross_entropy_rows(
+                model.forward(xv)[None], _one_hot_targets(yv, 4)[None]
+            )[0]
+            np.testing.assert_allclose(history.val_loss[-1], val_loss, rtol=1e-12)
+            assert history.val_accuracy[-1] == model.evaluate_accuracy(xv, yv)
+            assert history.train_accuracy[-1] == model.evaluate_accuracy(x, y)
+
+
+class TestFirstStepGradients:
+    """StackedTrainer's own backward pass, checked against finite differences.
+
+    Adam's first bias-corrected step is ``-lr * g / (|g| + eps)``: every
+    parameter with a clear gradient moves by about ``lr`` against its sign
+    and every parameter without one stays put. One full-batch epoch is one
+    step, so the weight deltas expose the signs of the trainer's gradients.
+    """
+
+    LEARNING_RATE = 0.01
+
+    @staticmethod
+    def _loss(model, x, targets):
+        return _softmax_cross_entropy_rows(model.forward(x)[None], targets[None])[0]
+
+    def _numerical_gradients(self, model, x, targets, epsilon=1e-6):
+        gradients = []
+        for layer in model.dense_layers:
+            for name in ("weights", "bias"):
+                array = getattr(layer, name)
+                if array is None:
+                    continue
+                numeric = np.zeros_like(array)
+                for index in np.ndindex(array.shape):
+                    array[index] += epsilon
+                    plus = self._loss(model, x, targets)
+                    array[index] -= 2 * epsilon
+                    minus = self._loss(model, x, targets)
+                    array[index] += epsilon
+                    numeric[index] = (plus - minus) / (2 * epsilon)
+                gradients.append(numeric)
+        return gradients
+
+    def _check(self, model, rng):
+        x, y = _problem(rng, n=24, n_features=model.topology()[0], n_classes=3)
+        numeric = self._numerical_gradients(model, x, _one_hot_targets(y, 3))
+        before = [
+            array.copy()
+            for layer in model.dense_layers
+            for array in (layer.weights, layer.bias)
+            if array is not None
+        ]
+        config = TrainerConfig(
+            epochs=1, batch_size=24, early_stopping_patience=None, restore_best_weights=False
+        )
+        StackedTrainer([model], self.LEARNING_RATE, config=config, seeds=[0]).fit(x, y)
+        after = [
+            array
+            for layer in model.dense_layers
+            for array in (layer.weights, layer.bias)
+            if array is not None
+        ]
+        assert len(after) == len(numeric)
+        n_clear = 0
+        for old, new, grad in zip(before, after, numeric):
+            delta = new - old
+            clear = np.abs(grad) > 1e-5
+            n_clear += int(clear.sum())
+            np.testing.assert_array_equal(np.sign(delta[clear]), -np.sign(grad[clear]))
+            np.testing.assert_allclose(
+                np.abs(delta[clear]), self.LEARNING_RATE, rtol=2e-3
+            )
+            flat = np.abs(grad) < 1e-10
+            assert (np.abs(delta[flat]) < 1e-2 * self.LEARNING_RATE).all()
+        assert n_clear > 0
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid", "leaky_relu"])
+    def test_one_hidden_layer(self, rng, activation):
+        self._check(build_mlp(5, [6], 3, hidden_activation=activation, seed=2), rng)
+
+    def test_two_hidden_layers(self, rng):
+        self._check(build_mlp(5, [6, 4], 3, hidden_activation="tanh", seed=3), rng)
+
+    def test_single_layer_perceptron(self, rng):
+        self._check(build_mlp(5, [], 3, seed=4), rng)
+
+    def test_without_biases(self, rng):
+        self._check(build_mlp(5, [6], 3, hidden_activation="tanh", use_bias=False, seed=5), rng)
+
+    def test_leading_activation_layer(self, rng):
+        model = MLP()
+        model.add(ActivationLayer("tanh"))
+        layer_rng = np.random.default_rng(6)
+        model.add(Dense(5, 6, rng=layer_rng))
+        model.add(ActivationLayer("sigmoid"))
+        model.add(Dense(6, 3, rng=layer_rng))
+        self._check(model, rng)
