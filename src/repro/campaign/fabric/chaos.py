@@ -21,10 +21,10 @@ fault point        fires...
 Actions: ``kill`` raises :class:`ChaosKill` (a ``BaseException``, so it
 sails through the worker's normal failure handling exactly like SIGKILL
 sails through ``except Exception``); ``stall`` tells the caller to skip
-the operation (a hung worker whose lease silently expires); ``sigterm``
-sends the worker's own process a real SIGTERM (an operator stopping it at
-that point — :meth:`~.worker.FabricWorker.run` turns it into a clean
-stop). Clock skew is
+the operation (a hung worker whose lease silently expires); ``interrupt``
+raises ``KeyboardInterrupt``, which is what Ctrl-C or SIGTERM become under
+:meth:`~.worker.FabricWorker.run` (an operator stopping the worker at that
+point, which ``run`` turns into a clean stop). Clock skew is
 modelled separately by :class:`SkewedClock`, and filesystem-level faults
 (torn journal tails, forged stale leases) by the helper functions below —
 they need no cooperation from the victim.
@@ -35,8 +35,6 @@ randomness, so every chaos test replays exactly.
 
 from __future__ import annotations
 
-import os
-import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,7 +52,7 @@ FAULT_POINTS: Tuple[str, ...] = (
 )
 
 #: Actions a fault can take when triggered.
-FAULT_ACTIONS: Tuple[str, ...] = ("kill", "stall", "sigterm")
+FAULT_ACTIONS: Tuple[str, ...] = ("kill", "stall", "interrupt")
 
 
 class ChaosKill(BaseException):
@@ -111,9 +109,8 @@ class ChaosPolicy:
         """Record one hit of ``point``; raise or return the triggered action.
 
         Returns ``None`` (no fault), ``"stall"`` (caller must skip the
-        operation), or raises :class:`ChaosKill` for ``kill`` faults.
-        ``sigterm`` faults signal the own process; they refuse to fire
-        while SIGTERM has its default (terminating) disposition.
+        operation), or raises :class:`ChaosKill` for ``kill`` faults and
+        ``KeyboardInterrupt`` for ``interrupt`` faults.
         """
         seen = self._hits.get(point, 0)
         self._hits[point] = seen + 1
@@ -123,11 +120,8 @@ class ChaosPolicy:
             if fault.after <= seen < fault.after + fault.count:
                 if fault.action == "kill":
                     raise ChaosKill(f"chaos kill at {point} (hit {seen + 1})")
-                if fault.action == "sigterm":
-                    if signal.getsignal(signal.SIGTERM) in (signal.SIG_DFL, None):
-                        raise RuntimeError("chaos sigterm needs a SIGTERM handler")
-                    os.kill(os.getpid(), signal.SIGTERM)
-                    return None
+                if fault.action == "interrupt":
+                    raise KeyboardInterrupt(f"chaos interrupt at {point} (hit {seen + 1})")
                 return fault.action
         return None
 

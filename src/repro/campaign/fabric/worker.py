@@ -126,8 +126,12 @@ class FabricWorker:
         self.execute_fn = execute_fn
         self.register = bool(register)
         self._started = now_fn()
+        #: The lease this worker holds (running or stalled job), or ``None``.
+        #: Set the moment a lease is won, cleared when it is released or
+        #: lost; :meth:`run` releases it when stopped at any point between.
         self._lease: Optional[Lease] = None
-        self._stalled: Optional[Tuple[Dict[str, object], Lease]] = None
+        #: The queue entry of a stalled job (chaos), whose lease is ``_lease``.
+        self._stalled: Optional[Dict[str, object]] = None
 
     # -- journaling and registration ---------------------------------------------
 
@@ -214,38 +218,41 @@ class FabricWorker:
             job_id = str(job_data["job_id"])
             if not self._claimable(job_id):
                 continue
-            lease = self.leases.acquire(job_id, self.worker_id)
-            if lease is None:
+            self._lease = self.leases.acquire(job_id, self.worker_id)
+            if self._lease is None:
                 continue
-            return self._start_leased(entry, lease)
+            return self._start_leased(entry)
         return "idle"
 
-    def _start_leased(self, entry: Dict[str, object], lease: Lease) -> str:
+    def _start_leased(self, entry: Dict[str, object]) -> str:
         """Entry point after winning a lease (chaos point ``job_started``)."""
-        self.journal("job_leased", job_id=lease.job_id, requeues=entry.get("requeues", 0))
+        job_id = self._lease.job_id  # type: ignore[union-attr]
+        self.journal("job_leased", job_id=job_id, requeues=entry.get("requeues", 0))
         if self.chaos is not None and self.chaos.hit("job_started") == "stall":
             # A hung worker: keeps the lease, does nothing. The lease will
             # expire and be stolen/requeued unless the stall ends in time.
-            self._stalled = (entry, lease)
-            self.journal("job_stalled", job_id=lease.job_id)
+            self._stalled = entry
+            self.journal("job_stalled", job_id=job_id)
             return "stalled"
-        return self._run_job(entry, lease)
+        return self._run_job(entry)
 
     def _resume_after_stall(self) -> str:
         """Wake from a stall: still ours? run it. Stolen? abandon it."""
-        entry, lease = self._stalled  # type: ignore[misc]
+        entry = self._stalled
         if self.chaos is not None and self.chaos.hit("job_started") == "stall":
             return "stalled"
         self._stalled = None
+        lease = self._lease
         try:
-            lease = self.leases.renew(lease)
+            self._lease = self.leases.renew(lease)  # type: ignore[arg-type]
         except LeaseLost:
             # The fabric moved on while we hung; the job belongs to someone
             # else (or is already done). Drop it without executing.
-            self.journal("lease_lost", job_id=lease.job_id)
-            self.journal("job_abandoned", job_id=lease.job_id)
+            self._lease = None
+            self.journal("lease_lost", job_id=lease.job_id)  # type: ignore[union-attr]
+            self.journal("job_abandoned", job_id=lease.job_id)  # type: ignore[union-attr]
             return "abandoned"
-        return self._run_job(entry, lease)
+        return self._run_job(entry)  # type: ignore[arg-type]
 
     # -- execution ---------------------------------------------------------------
 
@@ -259,77 +266,74 @@ class FabricWorker:
             on_fresh_put=self._maybe_renew_lease,
         )
 
-    def _run_job(self, entry: Dict[str, object], lease: Lease) -> str:
-        """Execute one leased job with bounded retry; journal the outcome."""
+    def _run_job(self, entry: Dict[str, object]) -> str:
+        """Execute the leased job with bounded retry; journal the outcome."""
         job = JobSpec.from_dict(entry["job"])  # type: ignore[arg-type]
-        self._lease = lease
         self.journal("job_started", job_id=job.job_id)
         attempt = 0
-        try:
-            while True:
-                attempt += 1
-                try:
-                    outcome = self.execute_fn(
-                        job,
-                        self.directory,
-                        use_cache=self.use_cache,
-                        cache_factory=self._cache_factory if self.use_cache else None,
-                    )
-                except Exception as error:  # noqa: BLE001 - classified below
-                    message = f"{type(error).__name__}: {error}"
-                    if self.retry.should_retry(error, attempt):
-                        delay = self.retry.delay(job.job_id, attempt)
-                        self.journal(
-                            "job_retrying",
-                            job_id=job.job_id,
-                            attempt=attempt,
-                            delay=round(delay, 6),
-                            error=message,
-                        )
-                        self._maybe_renew_lease()
-                        if delay > 0:
-                            self.sleep_fn(delay)
-                        continue
-                    write_json_atomic(
-                        self.layout.failed_entry(job.job_id),
-                        {
-                            "job_id": job.job_id,
-                            "worker_id": self.worker_id,
-                            "error": message,
-                            "attempts": attempt,
-                            "transient": False,
-                        },
-                    )
-                    self.journal(
-                        "job_failed", job_id=job.job_id, error=message, attempts=attempt
-                    )
-                    self._release(lease)
-                    return "failed"
-                self.journal(
-                    "job_completed",
-                    job_id=job.job_id,
-                    attempts=attempt,
-                    wall_s=round(outcome.wall_s, 6),
-                    n_evaluations=outcome.n_evaluations,
-                    front_size=outcome.front_size,
+        while True:
+            attempt += 1
+            try:
+                outcome = self.execute_fn(
+                    job,
+                    self.directory,
+                    use_cache=self.use_cache,
+                    cache_factory=self._cache_factory if self.use_cache else None,
                 )
-                self._release(lease)
-                return "completed"
-        except KeyboardInterrupt:
-            # Stopped mid-job (Ctrl-C or SIGTERM under :meth:`run`): hand
-            # the job back at once instead of holding it until the TTL.
-            self._release(lease)
-            raise
-        finally:
-            self._lease = None
+            except Exception as error:  # noqa: BLE001 - classified below
+                message = f"{type(error).__name__}: {error}"
+                if self.retry.should_retry(error, attempt):
+                    delay = self.retry.delay(job.job_id, attempt)
+                    self.journal(
+                        "job_retrying",
+                        job_id=job.job_id,
+                        attempt=attempt,
+                        delay=round(delay, 6),
+                        error=message,
+                    )
+                    self._maybe_renew_lease()
+                    if delay > 0:
+                        self.sleep_fn(delay)
+                    continue
+                write_json_atomic(
+                    self.layout.failed_entry(job.job_id),
+                    {
+                        "job_id": job.job_id,
+                        "worker_id": self.worker_id,
+                        "error": message,
+                        "attempts": attempt,
+                        "transient": False,
+                    },
+                )
+                self.journal(
+                    "job_failed", job_id=job.job_id, error=message, attempts=attempt
+                )
+                self._release()
+                return "failed"
+            self.journal(
+                "job_completed",
+                job_id=job.job_id,
+                attempts=attempt,
+                wall_s=round(outcome.wall_s, 6),
+                n_evaluations=outcome.n_evaluations,
+                front_size=outcome.front_size,
+            )
+            self._release()
+            return "completed"
 
-    def _release(self, lease: Lease) -> None:
-        """Release the lease, tolerating a concurrent steal (journaled)."""
-        lease = self._lease if self._lease is not None else lease
+    def _release(self) -> None:
+        """Release the held lease, if any, tolerating a concurrent steal (journaled).
+
+        A lease already found lost by a heartbeat is not ours to release.
+        """
+        lease = self._lease
+        if lease is None:
+            return
         try:
             self.leases.release(lease)
         except LeaseLost:
             self.journal("lease_lost", job_id=lease.job_id)
+        self._lease = None
 
     # -- long-running loop (CLI) -------------------------------------------------
 
@@ -379,10 +383,11 @@ class FabricWorker:
                     if max_jobs is not None and summary.completed + summary.failed >= max_jobs:
                         break
         except KeyboardInterrupt:
+            # Whenever the stop lands (leased, stalled or mid-job), hand the
+            # job back at once instead of holding it until the TTL.
             summary.interrupted = True
-            if self._stalled is not None:
-                self._release(self._stalled[1])
-                self._stalled = None
+            self._stalled = None
+            self._release()
         extra = {"interrupted": True} if summary.interrupted else {}
         self.journal(
             "worker_stopped", completed=summary.completed, failed=summary.failed, **extra

@@ -3,7 +3,7 @@
 This mirrors the paper's QKeras flow: fake-quantizers are attached to every
 Dense layer so the forward pass sees quantized weights, while gradients flow
 to full-precision shadow weights (the straight-through estimator implemented
-by :class:`repro.nn.layers.Dense`). A short retraining pass then recovers
+by :class:`repro.nn.stacked.StackedTrainer`). A short retraining pass then recovers
 most of the accuracy lost to the precision reduction.
 """
 

@@ -310,10 +310,12 @@ def evaluate_genomes_stacked(
     stacked trainer's bit-identity contract, the batched kernels' per-row
     reduction orders and exact integer/argmax arithmetic make batching
     numerically invisible, which the golden tests
-    in ``tests/test_stacked_evaluation.py`` assert. Populations the stacked
-    trainer cannot handle (architecture mismatches, zero fine-tuning
-    epochs, non-symmetric quantizers) silently fall back to per-genome
-    fine-tuning (:func:`evaluate_genomes`).
+    in ``tests/test_stacked_evaluation.py`` assert. Populations whose genomes
+    cannot share one stack (architectures or quantizer patterns that differ
+    between genomes) or that have zero fine-tuning epochs fall back to
+    per-genome fine-tuning (:func:`evaluate_genomes`). A model no trainer
+    can handle (a non-symmetric or frozen-scale quantizer hook, a custom
+    layer) raises ``ValueError`` on either path.
     """
     settings = settings if settings is not None else EvaluationSettings()
     genomes, seeds = _aligned_seeds(genomes, seeds)

@@ -122,23 +122,32 @@ class TestChaosGolden:
         ]
         assert max(preloaded) >= 2, f"expected cache fast-forward, got {preloaded}"
 
-    def test_sigterm_mid_job_hands_the_lease_back(self, tmp_path, reference):
-        """SIGTERM between two journaled evaluations: the worker releases its
-        lease and journals ``worker_stopped``; a second worker completes the
-        job at once (no TTL wait) and the fronts match the serial run."""
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            # between two journaled evaluations
+            (FaultSpec("evaluation_put", "interrupt", after=1),),
+            # lease won, job not yet started
+            (FaultSpec("job_started", "interrupt"),),
+            # while stalled holding the lease
+            (FaultSpec("job_started", "stall"), FaultSpec("job_started", "interrupt", after=1)),
+        ],
+        ids=["mid_job", "job_started", "stalled"],
+    )
+    def test_stopped_worker_hands_the_lease_back(self, tmp_path, reference, faults):
+        """Ctrl-C or SIGTERM (``KeyboardInterrupt`` under ``run``) wherever a
+        lease is held: the worker releases it and journals ``worker_stopped``;
+        a second worker completes the job at once (no TTL wait) and the
+        fronts match the serial run."""
         clock = ManualClock()
         coordinator = _coordinator(tmp_path, clock)
         coordinator.publish()
-        stopped = _worker(
-            coordinator,
-            "stopped",
-            clock,
-            chaos=ChaosPolicy(faults=(FaultSpec("evaluation_put", "sigterm", after=1),)),
-        )
-        summary = stopped.run(max_idle_s=0.0)
+        stopped = _worker(coordinator, "stopped", clock, chaos=ChaosPolicy(faults=faults))
+        summary = stopped.run(max_idle_s=None)
         assert summary.interrupted and summary.completed == 0
         assert list(coordinator.layout.leases_dir.iterdir()) == []
         events = read_worker_events(coordinator.layout.worker_journal("stopped"))
+        assert "job_leased" in [e["event"] for e in events]
         assert events[-1]["event"] == "worker_stopped"
         assert events[-1]["interrupted"] is True
         # no clock.advance: the released job is claimable immediately

@@ -16,7 +16,7 @@ def run_optimizer(optimizer, steps=300, start=10.0):
 
 class TestConvergence:
     def test_adam_converges(self):
-        final = run_optimizer(StackedAdam([0.1]), steps=2000)
+        final = run_optimizer(StackedAdam([0.1]), steps=600)
         np.testing.assert_allclose(final, [3.0, 3.0], atol=1e-2)
 
 
